@@ -138,13 +138,7 @@ def step(state: AdapterState, log_lr: float):
 
 def run_stream(ensemble, features, config: AdapterConfig, rng):
     """Fuse log-LRs per instance and advance the adapter in arrival order."""
-    state = init(config)
-    trace = []
-    for x in features:
-        log_lr = ensemble.fused_log_lr(x, rng)
-        _, record = step(state, log_lr)
-        trace.append(record)
-    return trace
+    return run_log_lr_stream((ensemble.fused_log_lr(x, rng) for x in features), config)
 
 
 def run_log_lr_stream(log_lrs, config: AdapterConfig):

@@ -5,11 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bayes import PRIOR_FLOOR
-from .metrics import ConfusionCounts, f1
-
-
-class FitFailure(ValueError):
-    pass
+from .metrics import ConfusionCounts, FitFailure, f1
 
 
 class BBSEUnidentifiable(ValueError):

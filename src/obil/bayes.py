@@ -112,17 +112,8 @@ def lr_from_posterior(p_hat, training_qp: float):
 
 
 def lr_from_output(o, training_qp: float):
-    """Likelihood ratio straight from the (clamped) network output.
-
-    Identical to lr_from_posterior(posterior_from_output(o), training_qp).
-    """
-    if training_qp <= 0:
-        raise ValueError("training_qp must be positive")
-    arr = np.asarray(o, dtype=float)
-    # evaluated through the posterior so the composition identity is exact
-    p = (arr + 1.0) / 2.0
-    out = training_qp * p / (1.0 - p)
-    return out if np.ndim(o) else float(out)
+    """Likelihood ratio straight from the (clamped) network output."""
+    return lr_from_posterior(posterior_from_output(o), training_qp)
 
 
 def log_lr_from_output(o, training_qp: float):
@@ -132,6 +123,12 @@ def log_lr_from_output(o, training_qp: float):
     arr = np.asarray(o, dtype=float)
     out = math.log(training_qp) + np.log1p(arr) - np.log1p(-arr)
     return out if np.ndim(o) else float(out)
+
+
+def posterior_from_log_lr(log_lr, p1):
+    """Posterior P(y=1 | x) at minority prior p1 from the log likelihood ratio."""
+    q = np.exp(log_lr)
+    return q * p1 / (q * p1 + (1.0 - p1))
 
 
 def relative_lr_error_bound(p_true: float, eps: float) -> float:

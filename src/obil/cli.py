@@ -15,13 +15,15 @@ import numpy as np
 
 from . import __version__
 from .adapter import run_log_lr_stream
+from .bayes import posterior_from_log_lr
 from .data import stratified_split
-from .ensemble import load_ensemble, save_ensemble, train_ensemble
+from .ensemble import load_ensemble, save_ensemble
 from .experiment import (DEFAULT_SPLIT, ConfigError, ParseError,
-                         ensemble_config_from, evaluate_predictions,
+                         evaluate_predictions, fit_ensemble,
                          fit_scorer_temperature, ingest_csv, load_config,
                          run_experiment, scorer_posteriors,
-                         stream_features_labels, write_csv)
+                         stream_features_labels, write_csv, write_regret,
+                         write_trace)
 from .losses import REGISTRY as LOSS_REGISTRY
 from .metrics import ece_from_posteriors
 from .mlp import NetworkConfig, train
@@ -69,18 +71,13 @@ def cmd_gen(args):
 def _train_ensemble(parsed, seed):
     ds = _dataset(parsed, seed)
     ds.require_both_classes()
-    train_part, cal_part, test_part = stratified_split(ds, DEFAULT_SPLIT[:2], seed=seed)
-    net_cfg = NetworkConfig(input_dim=ds.dim, seed=seed, **parsed["network_kwargs"])
-    ens_cfg = ensemble_config_from(parsed, train_part.imbalance_ratio)
-    ensemble = train_ensemble(train_part, ens_cfg, net_cfg, parsed["training"],
-                              parsed["loss"], seed=seed)
-    return ensemble, train_part, cal_part, test_part, net_cfg
+    return fit_ensemble(parsed, ds, seed)[0]
 
 
 def cmd_train(args):
     parsed = _load(args)
     seed = parsed["seeds"][0]
-    ensemble, *_ = _train_ensemble(parsed, seed)
+    ensemble = _train_ensemble(parsed, seed)
     out = _out_dir(args)
     path = out / "ensemble.bin"
     save_ensemble(ensemble, path)
@@ -120,7 +117,7 @@ def cmd_simulate(args):
     seed = parsed["seeds"][0]
     if parsed["problem"] is None:
         raise ConfigError("simulate requires gaussian data configuration")
-    ensemble, *_ = _train_ensemble(parsed, seed)
+    ensemble = _train_ensemble(parsed, seed)
     rng = np.random.default_rng(seed)
     feats, labels, _ = stream_features_labels(parsed["problem"], parsed["trajectory"],
                                               parsed["horizon"], rng)
@@ -128,9 +125,7 @@ def cmd_simulate(args):
     trace = run_log_lr_stream(fused, parsed["adapter"])
     out = _out_dir(args)
     path = out / "trace.jsonl"
-    with open(path, "w") as fh:
-        for record in trace:
-            fh.write(record.to_json() + "\n")
+    write_trace(path, trace)
     print(f"wrote {len(trace)} trace lines to {path}")
 
 
@@ -145,10 +140,7 @@ def cmd_regret(args):
                                       np.random.default_rng(seed))
     out = _out_dir(args)
     path = out / "regret.tsv"
-    with open(path, "w") as fh:
-        fh.write("t\talg_loss\toracle_loss\tcum_regret\n")
-        for row in ledger.rows():
-            fh.write("\t".join(repr(v) for v in row) + "\n")
+    write_regret(path, ledger)
     print(f"final cumulative regret: {ledger.cum_regret[-1]:.4f}; ledger at {path}")
 
 
@@ -169,8 +161,7 @@ def cmd_evaluate(args):
         threshold = adapter_cfg.qc * (1.0 - adapter_cfg.initial_p1) / adapter_cfg.initial_p1
         preds = (np.exp(fused) > threshold).astype(int)
         p1s = np.full(len(test), adapter_cfg.initial_p1)
-    q = np.exp(fused)
-    post = q * p1s / (q * p1s + (1.0 - p1s))
+    post = posterior_from_log_lr(fused, p1s)
     metrics = evaluate_predictions(preds, test.labels, fused, post)
     print(json.dumps(metrics, indent=2, sort_keys=True))
     out = _out_dir(args)

@@ -7,7 +7,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +14,7 @@ import numpy as np
 from . import __version__
 from .adapter import AdapterConfig, run_log_lr_stream
 from .baselines import bbse_estimate_prior, logit_adjust, threshold_moving_fit
-from .bayes import clamp_output
+from .bayes import clamp_output, posterior_from_log_lr
 from .data import LabeledDataset, stratified_split
 from .ensemble import EnsembleConfig, LikelihoodRatioEnsemble, train_ensemble
 from .losses import REGISTRY as LOSS_REGISTRY
@@ -255,8 +254,7 @@ def evaluate_on_stream(ensemble: LikelihoodRatioEnsemble, vanilla_scorer,
     preds = np.array([r.prediction for r in trace])
     # posterior implied by the fused ratio at the adapter's evolving prior
     p1s = np.array([r.p1_hat_after for r in trace])
-    q = np.exp(fused)
-    post = q * p1s / (q * p1s + (1.0 - p1s))
+    post = posterior_from_log_lr(fused, p1s)
     results["obil"] = evaluate_predictions(preds, labels, fused, post)
 
     if vanilla_scorer is not None:
@@ -315,18 +313,23 @@ def fit_scorer_temperature(scorer, calibration: LabeledDataset):
 # ---------------------------------------------------------------------------
 # Full pipeline
 
+def fit_ensemble(parsed: dict, dataset: LabeledDataset, seed: int):
+    """Split dataset and train the ensemble; returns (ensemble, train, cal, net_cfg)."""
+    train_part, cal_part, _test_part = stratified_split(dataset, DEFAULT_SPLIT[:2], seed=seed)
+    net_cfg = NetworkConfig(input_dim=dataset.dim, seed=seed, **parsed["network_kwargs"])
+    ens_cfg = ensemble_config_from(parsed, train_part.imbalance_ratio)
+    ensemble = train_ensemble(train_part, ens_cfg, net_cfg, parsed["training"],
+                              parsed["loss"], seed=seed)
+    return ensemble, train_part, cal_part, net_cfg
+
+
 def run_single_seed(parsed: dict, seed: int):
     problem = parsed["problem"]
     if problem is None:
         raise ConfigError("run_experiment currently requires gaussian data")
     rng = np.random.default_rng(seed)
     train_set = problem.sample_dataset(parsed["train_size"], parsed["train_p1"], rng)
-    train_part, cal_part, _test_part = stratified_split(train_set, DEFAULT_SPLIT[:2], seed=seed)
-
-    net_cfg = NetworkConfig(input_dim=problem.dim, seed=seed, **parsed["network_kwargs"])
-    ens_cfg = ensemble_config_from(parsed, train_part.imbalance_ratio)
-    ensemble = train_ensemble(train_part, ens_cfg, net_cfg, parsed["training"],
-                              parsed["loss"], seed=seed)
+    ensemble, train_part, cal_part, net_cfg = fit_ensemble(parsed, train_set, seed)
     vanilla = train(train_part, net_cfg, parsed["training"], parsed["loss"])
     if LOSS_REGISTRY[parsed["loss"]].logit_space and cal_part.n_positive and cal_part.n_negative:
         for member in ensemble.members:
@@ -342,6 +345,21 @@ def run_single_seed(parsed: dict, seed: int):
     ledger, _ = run_regret_experiment(scenario, parsed["adapter"],
                                       np.random.default_rng(seed + 1))
     return {"metrics": results, "trace": trace, "regret": ledger}
+
+
+def write_trace(path, trace):
+    """Adapter trace as JSON lines, one StepRecord per line."""
+    with open(path, "w") as fh:
+        for record in trace:
+            fh.write(record.to_json() + "\n")
+
+
+def write_regret(path, ledger):
+    """Regret ledger as a tab-separated table with a header row."""
+    with open(path, "w") as fh:
+        fh.write("t\talg_loss\toracle_loss\tcum_regret\n")
+        for row in ledger.rows():
+            fh.write("\t".join(repr(v) for v in row) + "\n")
 
 
 def _aggregate(per_seed):
@@ -365,32 +383,15 @@ def run_experiment(parsed: dict, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seeds = parsed["seeds"]
-    max_workers = max(1, int(os.environ.get("OBIL_THREADS", "1")))
-
-    def one(seed):
-        return seed, run_single_seed(parsed, seed)
-
-    if max_workers > 1 and len(seeds) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outputs = dict(pool.map(one, seeds))
-    else:
-        outputs = dict(one(s) for s in seeds)
-
     per_seed_metrics = []
     for seed in seeds:
-        result = outputs[seed]
+        result = run_single_seed(parsed, seed)
         seed_dir = out / f"seed_{seed}"
         seed_dir.mkdir(exist_ok=True)
         with open(seed_dir / "metrics.json", "w") as fh:
             json.dump(result["metrics"], fh, indent=2, sort_keys=True)
-        with open(seed_dir / "trace.jsonl", "w") as fh:
-            for record in result["trace"]:
-                fh.write(record.to_json() + "\n")
-        with open(seed_dir / "regret.tsv", "w") as fh:
-            fh.write("t\talg_loss\toracle_loss\tcum_regret\n")
-            for row in result["regret"].rows():
-                fh.write("\t".join(repr(v) for v in row) + "\n")
+        write_trace(seed_dir / "trace.jsonl", result["trace"])
+        write_regret(seed_dir / "regret.tsv", result["regret"])
         per_seed_metrics.append(result["metrics"])
 
     report = {

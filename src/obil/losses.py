@@ -39,16 +39,21 @@ def sigmoid(z):
 
 @dataclass(frozen=True)
 class LossSpec:
-    """A loss with value/derivative callables of signature (o, t, weight)."""
+    """A loss whose fn(o, t, weight) returns elementwise (value, derivative)."""
 
     name: str
-    value: Callable
-    derivative: Callable
+    fn: Callable
     bregman_exact: bool
     # For exact losses, the positive multiplier in dC/do = -g(o) (t - o).
     g_function: Optional[Callable] = None
     # True when the loss consumes the raw pre-activation logit, not tanh output.
     logit_space: bool = False
+
+    def value(self, o, t, weight=None):
+        return self.fn(o, t, weight)[0]
+
+    def derivative(self, o, t, weight=None):
+        return self.fn(o, t, weight)[1]
 
 
 def squared_error(o, t):
@@ -97,48 +102,17 @@ def cross_entropy_sigmoid(z, y, temperature: float = 1.0):
     return value, deriv
 
 
-def _wrap_plain(fn):
-    def value(o, t, weight=None):
-        return fn(o, t)[0]
-
-    def derivative(o, t, weight=None):
-        return fn(o, t)[1]
-
-    return value, derivative
-
-
-_sq_v, _sq_d = _wrap_plain(squared_error)
-_la_v, _la_d = _wrap_plain(logistic_arctanh)
-
-
-def _cw_value(o, t, weight=1.0):
-    return cost_weighted_squared_error(o, t, weight if weight is not None else 1.0)[0]
-
-
-def _cw_deriv(o, t, weight=1.0):
-    return cost_weighted_squared_error(o, t, weight if weight is not None else 1.0)[1]
-
-
-def _xe_value(z, y01, weight=None):
-    return cross_entropy_sigmoid(z, y01, 1.0)[0]
-
-
-def _xe_deriv(z, y01, weight=None):
-    return cross_entropy_sigmoid(z, y01, 1.0)[1]
-
-
 REGISTRY = {
     "squared": LossSpec(
         name="squared",
-        value=_sq_v,
-        derivative=_sq_d,
+        fn=lambda o, t, weight: squared_error(o, t),
         bregman_exact=True,
         g_function=lambda o: np.ones_like(np.asarray(o, dtype=float)),
     ),
     "squared_costweighted": LossSpec(
         name="squared_costweighted",
-        value=_cw_value,
-        derivative=_cw_deriv,
+        fn=lambda o, t, weight: cost_weighted_squared_error(
+            o, t, weight if weight is not None else 1.0),
         # Per-sample weighting is exact per class; the population minimizer
         # shifts with the weight, so it is not tagged exact for the plain
         # 2p-1 target unless the weight is 1.
@@ -146,15 +120,13 @@ REGISTRY = {
     ),
     "logistic_arctanh": LossSpec(
         name="logistic_arctanh",
-        value=_la_v,
-        derivative=_la_d,
+        fn=lambda o, t, weight: logistic_arctanh(o, t),
         bregman_exact=True,
         g_function=lambda o: 1.0 / (1.0 - np.asarray(o, dtype=float) ** 2),
     ),
     "xent_sigmoid": LossSpec(
         name="xent_sigmoid",
-        value=_xe_value,
-        derivative=_xe_deriv,
+        fn=lambda z, y01, weight: cross_entropy_sigmoid(z, y01),
         bregman_exact=False,
         logit_space=True,
     ),

@@ -90,7 +90,13 @@ class CalibratedScorer:
         return 1.0 - np.tanh(z) ** 2
 
     def _hidden_pass(self, x, dropout_active=False, rng=None, record=None):
-        """Run up to the scalar pre-activation; optionally record layer state."""
+        """Run up to the scalar pre-activation; optionally record layer state.
+
+        Leading axes of x (such as MC passes) broadcast; each layer draws one
+        mask covering all of them.
+        """
+        if x.shape[-1] != self.input_dim:
+            raise ShapeError(f"expected input dim {self.input_dim}, got {x.shape[-1]}")
         h = x
         keep = 1.0 - self.dropout_rate
         for i in range(len(self.weights) - 1):
@@ -113,21 +119,19 @@ class CalibratedScorer:
     def logits(self, x, dropout_active=False, rng=None):
         """Raw scalar pre-activation, batched or single-vector."""
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        if x.shape[1] != self.input_dim:
-            raise ShapeError(f"expected input dim {self.input_dim}, got {x.shape[1]}")
-        z = self._hidden_pass(x, dropout_active=dropout_active, rng=rng)
-        return float(z[0]) if single else z
+        z = self._hidden_pass(np.atleast_2d(x), dropout_active=dropout_active, rng=rng)
+        return float(z[0]) if x.ndim == 1 else z
+
+    def _bounded(self, z):
+        """Bounded output in (-1, 1) from the scalar pre-activation z."""
+        if self.logit_space:
+            return np.tanh(z / (2.0 * self.temperature))
+        return np.tanh(z)
 
     def forward(self, x, dropout_active=False, rng=None):
         """Bounded output in (-1, 1)."""
         z = self.logits(x, dropout_active=dropout_active, rng=rng)
-        if self.logit_space:
-            return np.tanh(np.asarray(z) / (2.0 * self.temperature)) if np.ndim(z) \
-                else float(np.tanh(z / (2.0 * self.temperature)))
-        return np.tanh(z) if np.ndim(z) else float(np.tanh(z))
+        return self._bounded(z) if np.ndim(z) else float(self._bounded(z))
 
     def log_lr(self, x, dropout_active=False, rng=None):
         """Log likelihood ratio via the training imbalance ratio."""
@@ -169,21 +173,17 @@ def _targets(labels, loss: LossSpec):
 def loss_and_gradients(scorer: CalibratedScorer, x, labels, loss: LossSpec,
                        loss_weight: float = 1.0, dropout_rng=None):
     """Mean loss over the batch and gradients for every weight/bias array."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
+    x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
     record = []
     z_out = scorer._hidden_pass(x, dropout_active=dropout_rng is not None,
                                 rng=dropout_rng, record=record)
     t = _targets(labels, loss)
-    if loss.logit_space:
-        values = loss.value(z_out, t, loss_weight)
-        dz = loss.derivative(z_out, t, loss_weight) / n
-    else:
-        o = np.tanh(z_out)
-        values = loss.value(o, t, loss_weight)
-        dz = loss.derivative(o, t, loss_weight) * (1.0 - o ** 2) / n
+    o = z_out if loss.logit_space else np.tanh(z_out)
+    values, dz = loss.fn(o, t, loss_weight)
+    if not loss.logit_space:
+        dz = dz * (1.0 - o ** 2)
+    dz = dz / n
 
     grads_w = [None] * len(scorer.weights)
     grads_b = [None] * len(scorer.biases)
@@ -279,25 +279,10 @@ def mc_dropout_log_lr_variance(scorer: CalibratedScorer, x, m: int,
 
 def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
                        rng: np.random.Generator) -> np.ndarray:
-    """m stochastic outputs for a batch, shape (m, n); masks broadcast over m."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[1] != scorer.input_dim:
-        raise ShapeError(f"expected input dim {scorer.input_dim}, got {x.shape[1]}")
-    keep = 1.0 - scorer.dropout_rate
-    h = np.broadcast_to(x, (m, *x.shape))
-    for i in range(len(scorer.weights) - 1):
-        z = h @ scorer.weights[i] + scorer.biases[i]
-        a = scorer._act(z)
-        if scorer.dropout_rate > 0.0:
-            mask = (rng.random(a.shape) < keep) / keep
-            a = a * mask
-        h = a
-    z_out = (h @ scorer.weights[-1] + scorer.biases[-1])[..., 0]
-    if scorer.logit_space:
-        return np.tanh(z_out / (2.0 * scorer.temperature))
-    return np.tanh(z_out)
+    """m stochastic outputs for a batch, shape (m, n); one mask per layer over all m passes."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    z = scorer._hidden_pass(np.broadcast_to(x, (m, *x.shape)), dropout_active=True, rng=rng)
+    return scorer._bounded(z)
 
 
 def mc_dropout_log_lr_variance_batch(scorer: CalibratedScorer, x, m: int,

@@ -9,12 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adapter import AdapterConfig, init, step
-from .bayes import PRIOR_FLOOR, cost_sensitive_loss
+from .bayes import PRIOR_FLOOR, cost_sensitive_loss, posterior_from_log_lr
 from .data import LabeledDataset
-
-
-class ResampleInfeasible(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -45,8 +41,7 @@ class GaussianProblem:
         return (d0 - d1) / (2.0 * self.sigma2)
 
     def posterior(self, x, p1: float):
-        q = np.exp(self.log_lr(x))
-        return q * p1 / (q * p1 + (1.0 - p1))
+        return posterior_from_log_lr(self.log_lr(x), p1)
 
     def sample(self, labels, rng: np.random.Generator):
         y = np.asarray(labels, dtype=int)
@@ -178,36 +173,3 @@ def run_regret_experiment(scenario: StreamScenario, adapter_cfg: AdapterConfig,
         cum += e_alg - e_oracle
         out.cum_regret[i] = cum
     return out, trace
-
-
-def make_resampled_testset(dataset: LabeledDataset, multiplier: float, seed: int = 0):
-    """Resample to multiplier times the current imbalance ratio.
-
-    Prefers sampling without replacement; falls back to replacement when a
-    class is exhausted and flags it.  Returns (dataset, used_replacement).
-    """
-    if multiplier <= 0:
-        raise ResampleInfeasible("multiplier must be positive")
-    dataset.require_both_classes()
-    rng = np.random.default_rng(seed)
-    y = dataset.labels
-    pos_idx = np.flatnonzero(y == 1)
-    neg_idx = np.flatnonzero(y == 0)
-    n0, n1 = len(neg_idx), len(pos_idx)
-    target_qp = multiplier * (n0 / n1)
-    used_replacement = False
-    if multiplier >= 1.0:
-        # keep all negatives, shrink positives
-        new_n1 = int(round(n0 / target_qp))
-        if new_n1 < 1:
-            raise ResampleInfeasible("target leaves no positive samples")
-        keep_pos = rng.choice(pos_idx, size=new_n1, replace=False)
-        idx = np.concatenate([neg_idx, keep_pos])
-    else:
-        # keep all positives, shrink negatives
-        new_n0 = int(round(target_qp * n1))
-        if new_n0 < 1:
-            raise ResampleInfeasible("target leaves no negative samples")
-        keep_neg = rng.choice(neg_idx, size=new_n0, replace=False)
-        idx = np.concatenate([keep_neg, pos_idx])
-    return dataset.subset(np.sort(idx)), used_replacement

@@ -6,7 +6,7 @@ import pytest
 from obil.adapter import (AdapterConfig, init, run_log_lr_stream, run_stream,
                           step)
 from obil.ensemble import EnsembleConfig, LikelihoodRatioEnsemble
-from obil.mlp import CalibratedScorer
+from obil.mlp import CalibratedScorer, NetworkConfig, init_scorer
 
 
 class TestInit:
@@ -128,6 +128,24 @@ class TestRunStream:
         want = run_log_lr_stream([math.log(3.0)] * 20, cfg)
         assert [r.p1_hat_after for r in trace] == pytest.approx(
             [r.p1_hat_after for r in want])
+
+        # with dropout, run_stream equals run_log_lr_stream over fused_log_lr
+        # values drawn in arrival order from a twin generator
+        members = [init_scorer(NetworkConfig(input_dim=2, hidden_dims=(5,),
+                                             dropout_rate=0.3, seed=s), qp, "squared")
+                   for s, qp in ((1, 1.0), (2, 3.0))]
+        ens = LikelihoodRatioEnsemble(members, EnsembleConfig(target_qps=(1.0, 3.0),
+                                                              mc_samples=6))
+        cfg = AdapterConfig(initial_p1=0.3)
+        feats = np.random.default_rng(11).normal(0, 1, (15, 2))
+        trace = run_stream(ens, feats, cfg, np.random.default_rng(4))
+        twin = np.random.default_rng(4)
+        log_lrs = [ens.fused_log_lr(x, twin) for x in feats]
+        want = run_log_lr_stream(log_lrs, cfg)
+        assert [r.to_json() for r in trace] == [r.to_json() for r in want]
+        # the dropout draws are live: a different generator changes the fusion
+        other = [ens.fused_log_lr(x, np.random.default_rng(5)) for x in feats]
+        assert other != log_lrs
 
 
 class TestInvariants:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import obil.baselines
+import obil.metrics
 from obil.baselines import (BBSEUnidentifiable, FitFailure,
                             bbse_estimate_prior, logit_adjust,
                             threshold_moving_fit)
@@ -32,6 +34,8 @@ class TestThresholdMoving:
     def test_single_class(self):
         with pytest.raises(FitFailure):
             threshold_moving_fit([0.1, 0.9], [1, 1])
+        # one exception type for every fit failure in the package
+        assert obil.baselines.FitFailure is obil.metrics.FitFailure
 
     def test_sentinel_when_predicting_everything(self):
         # all-positive labels with any split loses to predicting 1 everywhere

@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 from obil.adapter import AdapterConfig
-from obil.data import LabeledDataset
 from obil.simulate import (GaussianProblem, PriorTrajectory, RegretLedger,
-                           ResampleInfeasible, StreamScenario,
-                           make_resampled_testset, oracle_decision,
-                           oracle_threshold, run_regret_experiment,
-                           sample_step)
+                           StreamScenario, oracle_decision, oracle_threshold,
+                           run_regret_experiment, sample_step)
 
 
 def unit_problem():
@@ -208,43 +205,3 @@ class TestRunRegretExperiment:
                               np.array([0.6]), np.array([0.4]), np.array([0.2]))
         assert list(ledger.rows()) == [(1, 1.0, 0.0, 0.2)]
 
-
-class TestMakeResampledTestset:
-    def make(self, n0=400, n1=100, seed=0):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(0, 1, (n0 + n1, 1))
-        y = np.concatenate([np.zeros(n0, dtype=int), np.ones(n1, dtype=int)])
-        return LabeledDataset(x, y)
-
-    def test_increase_imbalance(self):
-        out, used_replacement = make_resampled_testset(self.make(), 4.0)
-        assert out.n_negative == 400 and out.n_positive == 25
-        assert not used_replacement
-
-    def test_decrease_imbalance(self):
-        out, used_replacement = make_resampled_testset(self.make(), 0.25)
-        assert out.n_negative == 100 and out.n_positive == 100
-        assert not used_replacement
-
-    def test_identity_multiplier(self):
-        out, _ = make_resampled_testset(self.make(), 1.0)
-        assert out.n_negative == 400 and out.n_positive == 100
-
-    def test_rows_come_from_original(self):
-        ds = self.make(40, 10)
-        out, _ = make_resampled_testset(ds, 2.0, seed=5)
-        original = {(float(f[0]), int(l)) for f, l in zip(ds.features, ds.labels)}
-        for f, l in zip(out.features, out.labels):
-            assert (float(f[0]), int(l)) in original
-
-    def test_determinism(self):
-        ds = self.make()
-        a, _ = make_resampled_testset(ds, 4.0, seed=9)
-        b, _ = make_resampled_testset(ds, 4.0, seed=9)
-        np.testing.assert_array_equal(a.features, b.features)
-
-    def test_infeasible(self):
-        with pytest.raises(ResampleInfeasible):
-            make_resampled_testset(self.make(), 0.0)
-        with pytest.raises(ResampleInfeasible):
-            make_resampled_testset(self.make(n0=4, n1=2), 1000.0)

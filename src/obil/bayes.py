@@ -147,10 +147,12 @@ def relative_lr_error_bound(p_true: float, eps: float) -> float:
     return eps / denom
 
 
-def cost_sensitive_loss(pred: int, truth: int, qc: float) -> float:
-    """qc for a missed positive, 1 for a false positive, 0 otherwise."""
-    if pred == 0 and truth == 1:
-        return qc
-    if pred == 1 and truth == 0:
-        return 1.0
-    return 0.0
+def cost_sensitive_loss(pred, truth, qc: float):
+    """qc for a false positive, 1 for a missed positive, 0 otherwise.
+
+    This is the cost structure whose Bayes cut is q > qc (1 - p1) / p1.
+    Elementwise over arrays; a float for scalar inputs.
+    """
+    pred, truth = np.asarray(pred), np.asarray(truth)
+    out = np.where((pred == 1) & (truth == 0), qc, 0.0) + ((pred == 0) & (truth == 1))
+    return out if out.ndim else float(out)

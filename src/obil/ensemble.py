@@ -64,13 +64,16 @@ class LikelihoodRatioEnsemble:
             for m in self.members
         ])
 
+    def _variance_weights(self, var):
+        """Softmax of -var / tau over the member axis (axis 0)."""
+        logw = -var / self.config.fusion_temperature
+        logw -= logw.max(axis=0)
+        w = np.exp(logw)
+        return w / w.sum(axis=0)
+
     def fusion_weights(self, x, rng: np.random.Generator):
         """Softmax of negative MC-dropout variances, temperature tau."""
-        var = self.member_variances(x, rng)
-        logw = -var / self.config.fusion_temperature
-        logw -= logw.max()
-        w = np.exp(logw)
-        return w / w.sum()
+        return self._variance_weights(self.member_variances(x, rng))
 
     def fused_log_lr(self, x, rng: np.random.Generator) -> float:
         """Weighted geometric mean of member ratios, in log space."""
@@ -87,10 +90,7 @@ class LikelihoodRatioEnsemble:
             mc_dropout_log_lr_variance_batch(m, x, self.config.mc_samples, rng)
             for m in self.members
         ])  # (K, n)
-        logw = -var / self.config.fusion_temperature
-        logw -= logw.max(axis=0)
-        w = np.exp(logw)
-        w /= w.sum(axis=0)
+        w = self._variance_weights(var)
         logs = np.stack([np.atleast_1d(m.log_lr(x)) for m in self.members])
         return np.sum(w * logs, axis=0)
 

@@ -93,7 +93,10 @@ class CalibratedScorer:
         """Run up to the scalar pre-activation; optionally record layer state.
 
         Leading axes of x (such as MC passes) broadcast; each layer draws one
-        mask covering all of them.
+        mask covering all of them.  Without a record the activations are
+        masked in place: a mask entry is exactly 1/keep or 0, so multiplying
+        by the boolean mask and then by 1/keep gives the same bits as
+        multiplying by the float mask, without holding z or the mask.
         """
         if x.shape[-1] != self.input_dim:
             raise ShapeError(f"expected input dim {self.input_dim}, got {x.shape[-1]}")
@@ -106,8 +109,13 @@ class CalibratedScorer:
             if dropout_active and self.dropout_rate > 0.0:
                 if rng is None:
                     raise ValueError("dropout requires a random generator")
-                mask = (rng.random(a.shape) < keep) / keep
-                a = a * mask
+                if record is None:
+                    del z
+                    a *= rng.random(a.shape) < keep
+                    a *= 1.0 / keep
+                else:
+                    mask = (rng.random(a.shape) < keep) / keep
+                    a = a * mask
             if record is not None:
                 record.append((h, z, mask))
             h = a

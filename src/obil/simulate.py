@@ -110,14 +110,20 @@ def sample_step(scenario: StreamScenario, t: int, rng: np.random.Generator):
 
 
 def oracle_threshold(qc: float, p1: float) -> float:
+    """Bayes cut on q_L when a false alarm costs qc and a miss costs 1."""
     return qc * (1.0 - p1) / p1
 
 
-def oracle_decision(log_lr: float, qc: float, p1: float) -> int:
-    """1 iff q_L exceeds the oracle threshold (strict; ties predict 0)."""
-    if not (0.0 < p1 < 1.0):
+def oracle_decision(log_lr, qc: float, p1):
+    """1 iff q_L exceeds the oracle threshold (strict; ties predict 0).
+
+    Elementwise over arrays of log_lr and p1; an int for scalar inputs.
+    """
+    p1 = np.asarray(p1, dtype=float)
+    if np.any((p1 <= 0.0) | (p1 >= 1.0)):
         raise ValueError("p1 must lie in (0, 1)")
-    return 1 if np.exp(log_lr) > oracle_threshold(qc, p1) else 0
+    out = (np.exp(log_lr) > oracle_threshold(qc, p1)).astype(int)
+    return out if out.ndim else int(out)
 
 
 @dataclass
@@ -142,34 +148,38 @@ def run_regret_experiment(scenario: StreamScenario, adapter_cfg: AdapterConfig,
     """Stream the scenario through the adapter and the oracle policy.
 
     log_lr_source maps a feature vector to a log likelihood ratio; None uses
-    the scenario's analytic ratio.  Cumulative regret accumulates expected
-    (posterior-averaged) losses; realized losses are recorded alongside.
-    Returns (RegretLedger, adapter trace).
+    the scenario's analytic ratio.  A false alarm costs qc and a miss costs
+    1, the structure whose Bayes cut is oracle_threshold.  Cumulative regret
+    accumulates expected (posterior-averaged) losses; realized losses are
+    recorded alongside.  Draws, ratios and adapter steps run per step in
+    stream order; the oracle and the losses are then computed over the whole
+    stream at once.  Returns (RegretLedger, adapter trace).
     """
     if log_lr_source is None:
         log_lr_source = scenario.problem.log_lr
     state = init(adapter_cfg)
     T = scenario.horizon
-    out = RegretLedger(np.arange(1, T + 1), np.zeros(T), np.zeros(T),
-                       np.zeros(T), np.zeros(T), np.zeros(T))
-    trace = []
-    cum = 0.0
-    qc = adapter_cfg.qc
+    xs, trace = [], []
+    ys = np.zeros(T, dtype=int)
+    p1s = np.zeros(T)
+    preds = np.zeros(T, dtype=int)
     for i in range(T):
-        x, y, p1 = sample_step(scenario, i, rng)
-        log_lr = float(log_lr_source(x))
-        pred, record = step(state, log_lr)
+        x, ys[i], p1s[i] = sample_step(scenario, i, rng)
+        xs.append(x)
+        preds[i], record = step(state, float(log_lr_source(x)))
         trace.append(record)
-        true_log_lr = float(scenario.problem.log_lr(x))
-        pred_star = oracle_decision(true_log_lr, qc, p1)
-        post = float(scenario.problem.posterior(x, p1))
-        # expected cost of each policy given x, over the label posterior
-        e_alg = qc * post * (pred == 0) + (1.0 - post) * (pred == 1)
-        e_oracle = qc * post * (pred_star == 0) + (1.0 - post) * (pred_star == 1)
-        out.alg_loss[i] = cost_sensitive_loss(pred, y, qc)
-        out.oracle_loss[i] = cost_sensitive_loss(pred_star, y, qc)
-        out.alg_expected[i] = e_alg
-        out.oracle_expected[i] = e_oracle
-        cum += e_alg - e_oracle
-        out.cum_regret[i] = cum
+    x = np.array(xs)
+    qc = adapter_cfg.qc
+    pred_star = oracle_decision(scenario.problem.log_lr(x), qc, p1s)
+    post = scenario.problem.posterior(x, p1s)
+    alg_expected = _expected_cost(preds, post, qc)
+    oracle_expected = _expected_cost(pred_star, post, qc)
+    out = RegretLedger(np.arange(1, T + 1), cost_sensitive_loss(preds, ys, qc),
+                       cost_sensitive_loss(pred_star, ys, qc), alg_expected,
+                       oracle_expected, np.cumsum(alg_expected - oracle_expected))
     return out, trace
+
+
+def _expected_cost(pred, post, qc: float):
+    """Expected cost of predictions given the label posterior P(y=1 | x)."""
+    return post * (pred == 0) + qc * (1.0 - post) * (pred == 1)

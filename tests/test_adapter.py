@@ -79,6 +79,20 @@ class TestStep:
         with pytest.raises(ValueError):
             step(state, float("nan"))
 
+    def test_large_finite_log_lr_gives_record(self):
+        # exp(710) overflows a float; the step must still decide and record
+        state = init(AdapterConfig(qc=1.0, initial_p1=0.5))
+        for log_lr, pred, p_lr in ((710.0, 1, 1.0), (1e4, 1, 1.0), (-1e4, 0, 0.0)):
+            got, record = step(state, log_lr)
+            assert (got, record.prediction, record.p_lr) == (pred, pred, p_lr)
+            assert record.log_lr == log_lr
+            assert math.isfinite(record.p1_hat_after)
+            assert math.isfinite(record.threshold_after)
+        # a clamped log-LR decides and weighs as an unclamped one just below
+        for log_lr in (708.9, 709.1):
+            _, record = step(init(AdapterConfig(initial_p1=0.001)), log_lr)
+            assert (record.prediction, record.p_lr, record.p_freq) == (1, 1.0, 1.0)
+
     def test_threshold_consistency_every_step(self):
         cfg = AdapterConfig(qc=2.5, initial_p1=0.3)
         state = init(cfg)
@@ -150,17 +164,22 @@ class TestRunStream:
 
 class TestInvariants:
     def test_boundedness_under_adversarial_inputs(self):
-        cfg = AdapterConfig(qc=1.0, initial_p1=0.5)
-        state = init(cfg)
-        rng = np.random.default_rng(99)
-        eta = cfg.prior_floor
-        for _ in range(10000):
-            log_lr = rng.choice([-50.0, 50.0, 0.0]) + rng.normal(0, 1)
-            prev = state.p1_hat
-            _, record = step(state, float(log_lr))
-            assert eta <= state.p1_hat <= 1.0 - eta
-            if record.clamped:
-                assert abs(state.p1_hat - prev) <= cfg.delta_max + 1e-15
+        # near-zero spikes, then magnitudes log-uniform up to 1e4, which
+        # cross the point where exp(log_lr) overflows
+        draws = (lambda rng: rng.choice([-50.0, 50.0, 0.0]) + rng.normal(0, 1),
+                 lambda rng: rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2, 4))
+        for draw in draws:
+            cfg = AdapterConfig(qc=1.0, initial_p1=0.5)
+            state = init(cfg)
+            rng = np.random.default_rng(99)
+            eta = cfg.prior_floor
+            for _ in range(10000):
+                log_lr = draw(rng)
+                prev = state.p1_hat
+                _, record = step(state, float(log_lr))
+                assert eta <= state.p1_hat <= 1.0 - eta
+                if record.clamped:
+                    assert abs(state.p1_hat - prev) <= cfg.delta_max + 1e-15
 
     def test_p_freq_recomputable_from_window(self):
         cfg = AdapterConfig(window_w=25)

@@ -176,10 +176,14 @@ class TestRelativeLrErrorBound:
 
 class TestCostSensitiveLoss:
     def test_examples(self):
+        # qc is the false-alarm cost, as in the threshold qc (1 - p1) / p1
         assert cost_sensitive_loss(1, 1, 5.0) == 0.0
-        assert cost_sensitive_loss(0, 1, 5.0) == 5.0
-        assert cost_sensitive_loss(1, 0, 5.0) == 1.0
+        assert cost_sensitive_loss(0, 1, 5.0) == 1.0
+        assert cost_sensitive_loss(1, 0, 5.0) == 5.0
         assert cost_sensitive_loss(0, 0, 5.0) == 0.0
+        np.testing.assert_array_equal(
+            cost_sensitive_loss(np.array([1, 0, 1, 0]), np.array([1, 1, 0, 0]), 5.0),
+            [0.0, 1.0, 5.0, 0.0])
 
 
 class TestClampOutput:

@@ -181,26 +181,32 @@ class TestMcDropout:
         np.testing.assert_allclose(outs[0], scorer.forward(xs), rtol=1e-15)
 
     def test_batch_replay_oracle(self):
-        # replay the batch passes with a twin generator: per layer, one mask
-        # block over all (pass, row, unit) entries, then each pass separately
-        cfg = NetworkConfig(input_dim=2, hidden_dims=(6, 4), seed=9,
-                            dropout_rate=0.3)
-        scorer = init_scorer(cfg, 2.0, "squared")
-        xs = np.random.default_rng(7).normal(0, 1, (5, 2))
-        m = 8
-        got = mc_dropout_outputs(scorer, xs, m, np.random.default_rng(321))
+        # replay the batch passes with a twin generator: per layer, one float
+        # mask block over all (pass, row, unit) entries, then each pass
+        # separately; the in-place masking must give the same bits and leave
+        # the generator where the twin is
+        for activation, act in (("relu", lambda z: np.maximum(z, 0.0)),
+                                ("tanh", np.tanh)):
+            cfg = NetworkConfig(input_dim=2, hidden_dims=(6, 4), seed=9,
+                                activation=activation, dropout_rate=0.3)
+            scorer = init_scorer(cfg, 2.0, "squared")
+            xs = np.random.default_rng(7).normal(0, 1, (5, 2))
+            m = 8
+            gen = np.random.default_rng(321)
+            got = mc_dropout_outputs(scorer, xs, m, gen)
 
-        rng = np.random.default_rng(321)
-        keep = 1.0 - scorer.dropout_rate
-        hs = [xs] * m
-        for w, b in zip(scorer.weights[:-1], scorer.biases[:-1]):
-            masks = (rng.random((m, len(xs), w.shape[1])) < keep) / keep
-            hs = [np.maximum(h @ w + b, 0.0) * masks[k] for k, h in enumerate(hs)]
-        want = np.array([np.tanh(h @ scorer.weights[-1] + scorer.biases[-1])[:, 0]
-                         for h in hs])
-        assert got.shape == (m, len(xs))
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
-        assert np.ptp(got, axis=0).min() > 0.0  # dropout really varied the passes
+            rng = np.random.default_rng(321)
+            keep = 1.0 - scorer.dropout_rate
+            hs = [xs] * m
+            for w, b in zip(scorer.weights[:-1], scorer.biases[:-1]):
+                masks = (rng.random((m, len(xs), w.shape[1])) < keep) / keep
+                hs = [act(h @ w + b) * masks[k] for k, h in enumerate(hs)]
+            want = np.array([np.tanh(h @ scorer.weights[-1] + scorer.biases[-1])[:, 0]
+                             for h in hs])
+            assert got.shape == (m, len(xs))
+            assert got.tobytes() == want.tobytes(), activation
+            assert gen.bit_generator.state == rng.bit_generator.state
+            assert np.ptp(got, axis=0).min() > 0.0  # dropout really varied the passes
 
     def test_batch_variance_nonnegative_and_shaped(self):
         cfg = NetworkConfig(input_dim=2, hidden_dims=(8,), seed=2,

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from obil.adapter import AdapterConfig
+from obil.adapter import AdapterConfig, init, step
+from obil.bayes import cost_sensitive_loss
 from obil.simulate import (GaussianProblem, PriorTrajectory, RegretLedger,
                            StreamScenario, oracle_decision, oracle_threshold,
                            run_regret_experiment, sample_step)
@@ -161,13 +162,14 @@ class TestRunRegretExperiment:
 
     def test_expected_regret_nonnegative_and_monotone(self):
         # the oracle minimizes per-step expected cost, so cumulative expected
-        # regret never decreases, for every seed
-        for seed in range(20):
-            ledger, _ = run_regret_experiment(
-                self.scenario(horizon=150), AdapterConfig(initial_p1=0.5),
-                np.random.default_rng(seed))
-            increments = np.diff(np.concatenate([[0.0], ledger.cum_regret]))
-            assert np.all(increments >= -1e-12)
+        # regret never decreases, for every seed and cost ratio
+        for qc in (1.0, 0.3, 3.0):
+            for seed in range(20):
+                ledger, _ = run_regret_experiment(
+                    self.scenario(horizon=150), AdapterConfig(qc=qc, initial_p1=0.5),
+                    np.random.default_rng(seed))
+                increments = np.diff(np.concatenate([[0.0], ledger.cum_regret]))
+                assert np.all(increments >= -1e-12), (qc, seed)
 
     def test_realized_losses_are_cost_values(self):
         cfg = AdapterConfig(qc=3.0)
@@ -192,6 +194,42 @@ class TestRunRegretExperiment:
         ledger, _ = run_regret_experiment(scenario, AdapterConfig(initial_p1=0.3),
                                           np.random.default_rng(4), log_lr_source=bad)
         assert ledger.cum_regret[-1] > 1.0
+
+    @pytest.mark.parametrize("qc", [1.0, 3.0])
+    @pytest.mark.parametrize("source", ["analytic", "custom"])
+    def test_matches_per_step_reference(self, qc, source):
+        # the ledger computed over the whole stream equals a step-by-step
+        # reference driven by a twin generator, bit for bit
+        scenario = StreamScenario(
+            GaussianProblem(mu0=np.full(3, -0.5), mu1=np.full(3, 0.5)),
+            PriorTrajectory(kind="linear_drift", p_start=0.05, slope=1e-3, p_cap=0.4),
+            horizon=400)
+        custom = lambda x: 0.7 * float(scenario.problem.log_lr(x)) - 0.2
+        log_lr_source = None if source == "analytic" else custom
+        cfg = AdapterConfig(qc=qc, initial_p1=0.2)
+        got, got_trace = run_regret_experiment(scenario, cfg, np.random.default_rng(11),
+                                               log_lr_source=log_lr_source)
+
+        rng = np.random.default_rng(11)
+        state = init(cfg)
+        rows, trace, cum = [], [], 0.0
+        for i in range(scenario.horizon):
+            x, y, p1 = sample_step(scenario, i, rng)
+            pred, record = step(state, float((log_lr_source or scenario.problem.log_lr)(x)))
+            trace.append(record)
+            pred_star = oracle_decision(float(scenario.problem.log_lr(x)), qc, p1)
+            post = float(scenario.problem.posterior(x, p1))
+            cost = lambda d: post if d == 0 else qc * (1.0 - post)
+            cum += cost(pred) - cost(pred_star)
+            rows.append((cost_sensitive_loss(pred, y, qc),
+                         cost_sensitive_loss(pred_star, y, qc),
+                         cost(pred), cost(pred_star), cum))
+        want = np.array(rows).T
+        for arr, ref in zip((got.alg_loss, got.oracle_loss, got.alg_expected,
+                             got.oracle_expected, got.cum_regret), want):
+            assert arr.tobytes() == ref.tobytes()
+        assert [r.to_json() for r in got_trace] == [r.to_json() for r in trace]
+        assert got.cum_regret[-1] > 0.0
 
     def test_deterministic_given_rng_seed(self):
         a, _ = run_regret_experiment(self.scenario(), AdapterConfig(),

@@ -13,11 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .bayes import PRIOR_FLOOR
-
-# Log-LRs above this are clamped before exponentiation (math.exp overflows
-# past about 709.78); the record keeps the unclamped value.
-_EXP_SAFE = 709.0
+from .bayes import EXP_SAFE, PRIOR_FLOOR
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,7 @@ def step(state: AdapterState, log_lr: float):
     if not math.isfinite(log_lr):
         raise ValueError("log_lr must be finite")
     cfg = state.config
-    q_hat = math.exp(min(log_lr, _EXP_SAFE))
+    q_hat = math.exp(min(log_lr, EXP_SAFE))  # the record keeps log_lr unclamped
     threshold = state.threshold_q
     prediction = 1 if q_hat > threshold else 0
 

@@ -19,6 +19,11 @@ EPS_CLIP = 1e-6
 # Floor keeping priors away from {0, 1}; caps the imbalance ratio at 199.
 PRIOR_FLOOR = 0.005
 
+# Log-LRs above this are clamped before exponentiation (exp overflows past
+# about 709.78); exp(709) is about 8.2e307, so the clamped ratio still
+# exceeds any threshold or prior odds the program forms.
+EXP_SAFE = 709.0
+
 
 class InvalidCostStructure(ValueError):
     pass
@@ -126,8 +131,12 @@ def log_lr_from_output(o, training_qp: float):
 
 
 def posterior_from_log_lr(log_lr, p1):
-    """Posterior P(y=1 | x) at minority prior p1 from the log likelihood ratio."""
-    q = np.exp(log_lr)
+    """Posterior P(y=1 | x) at minority prior p1 from the log likelihood ratio.
+
+    Log-LRs above EXP_SAFE are clamped first, so a huge ratio gives a
+    posterior of 1.0 rather than inf / inf.
+    """
+    q = np.exp(np.minimum(log_lr, EXP_SAFE))
     return q * p1 / (q * p1 + (1.0 - p1))
 
 

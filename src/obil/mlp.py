@@ -89,33 +89,51 @@ class CalibratedScorer:
             return (z > 0).astype(float)
         return 1.0 - np.tanh(z) ** 2
 
-    def _hidden_pass(self, x, dropout_active=False, rng=None, record=None):
-        """Run up to the scalar pre-activation; optionally record layer state.
-
-        Leading axes of x (such as MC passes) broadcast; each layer draws one
-        mask covering all of them.  Without a record the activations are
-        masked in place: a mask entry is exactly 1/keep or 0, so multiplying
-        by the boolean mask and then by 1/keep gives the same bits as
-        multiplying by the float mask, without holding z or the mask.
-        """
+    def _check_input(self, x):
         if x.shape[-1] != self.input_dim:
             raise ShapeError(f"expected input dim {self.input_dim}, got {x.shape[-1]}")
+
+    def _hidden_pass(self, x, dropout_active=False, rng=None, record=None,
+                     masks=None, first=None):
+        """Run up to the scalar pre-activation; optionally record layer state.
+
+        Leading axes of x (such as MC passes) broadcast.  With dropout active
+        each hidden layer draws one mask covering all of them, layer after
+        layer, unless `masks` supplies the boolean keep-masks already drawn
+        (one per hidden layer, broadcasting against that layer's
+        activation).  `first` is layer 1's unmasked activation
+        act(x @ W1 + b1) when the caller has already computed it; x is then
+        only checked.  Without a record the activations are masked in place:
+        a mask entry is exactly 1/keep or 0, so multiplying by the boolean
+        mask and then by 1/keep gives the same bits as multiplying by the
+        float mask, without holding z or a float mask.  With a record, each
+        layer's input, z and float mask are kept for backprop.
+        """
+        self._check_input(x)
         h = x
         keep = 1.0 - self.dropout_rate
         for i in range(len(self.weights) - 1):
-            z = h @ self.weights[i] + self.biases[i]
-            a = self._act(z)
+            if i == 0 and first is not None:
+                z, a = None, first
+            else:
+                z = h @ self.weights[i] + self.biases[i]
+                a = self._act(z)
             mask = None
             if dropout_active and self.dropout_rate > 0.0:
-                if rng is None:
+                if rng is None and masks is None:
                     raise ValueError("dropout requires a random generator")
-                if record is None:
-                    del z
-                    a *= rng.random(a.shape) < keep
-                    a *= 1.0 / keep
-                else:
+                if record is not None:
                     mask = (rng.random(a.shape) < keep) / keep
                     a = a * mask
+                else:
+                    del z
+                    if masks is None:
+                        a *= rng.random(a.shape) < keep
+                    elif a is first:
+                        a = a * masks[i]
+                    else:
+                        a *= masks[i]
+                    a *= 1.0 / keep
             if record is not None:
                 record.append((h, z, mask))
             h = a
@@ -285,11 +303,51 @@ def mc_dropout_log_lr_variance(scorer: CalibratedScorer, x, m: int,
     return float(np.mean((samples - samples.mean()) ** 2))
 
 
+def _keep_masks(scorer: CalibratedScorer, m: int, n: int,
+                rng: np.random.Generator) -> list:
+    """Boolean keep-masks (m, n, h), one per hidden layer, drawn layer-major.
+
+    Each layer is filled one pass at a time through one reused (n, h) float
+    buffer.  Generator.random fills in C order, so this takes exactly the
+    stream of one rng.random((m, n, h)) per layer.
+    """
+    keep = 1.0 - scorer.dropout_rate
+    masks = []
+    for w in scorer.weights[:-1]:
+        mask = np.empty((m, n, w.shape[1]), dtype=bool)
+        u = np.empty((n, w.shape[1]))
+        for s in range(m):
+            rng.random(out=u)
+            np.less(u, keep, out=mask[s])
+        masks.append(mask)
+    return masks
+
+
 def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
                        rng: np.random.Generator) -> np.ndarray:
-    """m stochastic outputs for a batch, shape (m, n); one mask per layer over all m passes."""
+    """m stochastic outputs for a batch, shape (m, n).
+
+    The random draws are those of one float mask per hidden layer over all
+    m passes, layer after layer, as rng.random((m, n, h)) would make them;
+    they are kept as boolean keep-masks, drawn up front.  Layer 1 does not
+    depend on the pass, so act(x @ W1 + b1) is computed once; the rest of
+    the net runs one pass at a time.  Held at once: the boolean masks
+    (m * n * sum(hidden) bytes), the (m, n) output, layer 1's (n, h1)
+    activation, and a few float arrays of one pass, each at most
+    n * widest hidden layer floats.  Every output bit is that of running
+    all m passes at once.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    z = scorer._hidden_pass(np.broadcast_to(x, (m, *x.shape)), dropout_active=True, rng=rng)
+    scorer._check_input(x)
+    n = x.shape[0]
+    if scorer.dropout_rate == 0.0:
+        return scorer._bounded(np.broadcast_to(scorer._hidden_pass(x), (m, n)))
+    first = scorer._act(x @ scorer.weights[0] + scorer.biases[0])
+    masks = _keep_masks(scorer, m, n, rng)
+    z = np.empty((m, n))
+    for s in range(m):
+        z[s] = scorer._hidden_pass(x, dropout_active=True, first=first,
+                                   masks=[k[s] for k in masks])
     return scorer._bounded(z)
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adapter import AdapterConfig, init, step
-from .bayes import PRIOR_FLOOR, cost_sensitive_loss, posterior_from_log_lr
+from .bayes import EXP_SAFE, PRIOR_FLOOR, cost_sensitive_loss, posterior_from_log_lr
 from .data import LabeledDataset
 
 
@@ -122,7 +122,7 @@ def oracle_decision(log_lr, qc: float, p1):
     p1 = np.asarray(p1, dtype=float)
     if np.any((p1 <= 0.0) | (p1 >= 1.0)):
         raise ValueError("p1 must lie in (0, 1)")
-    out = (np.exp(log_lr) > oracle_threshold(qc, p1)).astype(int)
+    out = (np.exp(np.minimum(log_lr, EXP_SAFE)) > oracle_threshold(qc, p1)).astype(int)
     return out if out.ndim else int(out)
 
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from obil.bayes import (EPS_CLIP, BoundUndefined, CostStructure,
+from obil.bayes import (EPS_CLIP, EXP_SAFE, BoundUndefined, CostStructure,
                         InvalidCostStructure, PosteriorSaturation, PriorPair,
                         UnclampedOutput, clamp_output, combined_threshold,
                         cost_sensitive_loss, log_lr_from_output,
                         lr_from_output, lr_from_posterior,
-                        posterior_from_output, relative_lr_error_bound)
+                        posterior_from_log_lr, posterior_from_output,
+                        relative_lr_error_bound)
 
 
 class TestCostStructure:
@@ -75,6 +76,27 @@ class TestPosteriorFromOutput:
             posterior_from_output(1.0)
         with pytest.raises(UnclampedOutput):
             posterior_from_output(-1.5)
+
+
+class TestPosteriorFromLogLr:
+    def test_bits_unchanged_below_exp_safe(self):
+        # clamping at EXP_SAFE leaves every value below it bit-identical to
+        # the plain formula, for arrays and scalars
+        rng = np.random.default_rng(20)
+        log_lr = rng.uniform(-EXP_SAFE, EXP_SAFE, 100_000)
+        log_lr[:50_000] /= 100.0  # dense near 0, where real log-LRs live
+        p1 = rng.uniform(0.005, 0.995, 100_000)
+        q = np.exp(log_lr)
+        want = q * p1 / (q * p1 + (1.0 - p1))
+        assert posterior_from_log_lr(log_lr, p1).tobytes() == want.tobytes()
+        assert posterior_from_log_lr(float(log_lr[0]), float(p1[0])) == want[0]
+
+    def test_huge_log_lr_is_certain(self):
+        # exp overflows past about 709.78; the posterior is 1.0, not inf / inf
+        got = posterior_from_log_lr(np.array([709.0, 709.9, 1e4, -1e4]), 0.2)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_array_equal(got[1:], [1.0, 1.0, 0.0])
+        assert posterior_from_log_lr(800.0, 0.5) == 1.0
 
 
 class TestLrFromPosterior:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -183,30 +185,65 @@ class TestMcDropout:
     def test_batch_replay_oracle(self):
         # replay the batch passes with a twin generator: per layer, one float
         # mask block over all (pass, row, unit) entries, then each pass
-        # separately; the in-place masking must give the same bits and leave
-        # the generator where the twin is
-        for activation, act in (("relu", lambda z: np.maximum(z, 0.0)),
-                                ("tanh", np.tanh)):
-            cfg = NetworkConfig(input_dim=2, hidden_dims=(6, 4), seed=9,
+        # separately; the streamed passes (boolean masks drawn up front,
+        # layer 1 once, one pass at a time) must give the same bits and
+        # leave the generator where the twin is
+        acts = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}
+        rows = np.random.default_rng(7).normal(0, 1, (5, 2))
+        m = 8
+        cases = [((6, 4), "relu", rows), ((6, 4), "tanh", rows),
+                 ((6, 5, 4), "relu", rows), ((6, 5, 4), "tanh", rows),
+                 ((6, 4), "tanh", rows[1])]
+        for hidden_dims, activation, xs in cases:
+            x2 = np.atleast_2d(xs)
+            cfg = NetworkConfig(input_dim=2, hidden_dims=hidden_dims, seed=9,
                                 activation=activation, dropout_rate=0.3)
             scorer = init_scorer(cfg, 2.0, "squared")
-            xs = np.random.default_rng(7).normal(0, 1, (5, 2))
-            m = 8
             gen = np.random.default_rng(321)
             got = mc_dropout_outputs(scorer, xs, m, gen)
 
             rng = np.random.default_rng(321)
             keep = 1.0 - scorer.dropout_rate
-            hs = [xs] * m
+            act = acts[activation]
+            hs = [x2] * m
             for w, b in zip(scorer.weights[:-1], scorer.biases[:-1]):
-                masks = (rng.random((m, len(xs), w.shape[1])) < keep) / keep
+                masks = (rng.random((m, len(x2), w.shape[1])) < keep) / keep
                 hs = [act(h @ w + b) * masks[k] for k, h in enumerate(hs)]
             want = np.array([np.tanh(h @ scorer.weights[-1] + scorer.biases[-1])[:, 0]
                              for h in hs])
-            assert got.shape == (m, len(xs))
-            assert got.tobytes() == want.tobytes(), activation
-            assert gen.bit_generator.state == rng.bit_generator.state
-            assert np.ptp(got, axis=0).min() > 0.0  # dropout really varied the passes
+            case = (hidden_dims, activation, x2.shape)
+            assert got.shape == (m, len(x2)), case
+            assert got.tobytes() == want.tobytes(), case
+            assert gen.bit_generator.state == rng.bit_generator.state, case
+            assert np.ptp(got, axis=0).min() > 0.0, case  # dropout really varied the passes
+
+    def test_batch_wrong_input_dim(self):
+        # layer 1 runs outside the pass loop; the input is still checked
+        # first, before any mask is drawn
+        cfg = NetworkConfig(input_dim=2, hidden_dims=(4, 3), dropout_rate=0.2)
+        scorer = init_scorer(cfg, 1.0, "squared")
+        gen = np.random.default_rng(0)
+        state = gen.bit_generator.state
+        for xs in (np.ones(3), np.ones((4, 3)), np.ones((4, 1))):
+            with pytest.raises(ShapeError):
+                mc_dropout_outputs(scorer, xs, 5, gen)
+        assert gen.bit_generator.state == state
+
+    def test_batch_memory_below_one_float_block(self):
+        # one call holds boolean masks and one pass of floats, never a float
+        # (m, n, h1) block: 30 * 4000 * 64 * 8 bytes = 58.6 MiB here
+        cfg = NetworkConfig(input_dim=3, hidden_dims=(64, 32), seed=4, dropout_rate=0.1)
+        scorer = init_scorer(cfg, 1.0, "squared")
+        xs = np.random.default_rng(2).normal(0, 1, (4000, 3))
+        m = 30
+        tracemalloc.start()
+        try:
+            outs = mc_dropout_outputs(scorer, xs, m, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert outs.shape == (m, len(xs))
+        assert peak < m * len(xs) * 64 * 8, peak
 
     def test_batch_variance_nonnegative_and_shaped(self):
         cfg = NetworkConfig(input_dim=2, hidden_dims=(8,), seed=2,

@@ -231,6 +231,17 @@ class TestRunRegretExperiment:
         assert [r.to_json() for r in got_trace] == [r.to_json() for r in trace]
         assert got.cum_regret[-1] > 0.0
 
+    def test_well_separated_problem_ledger_finite(self):
+        # class means +-40 give log-LRs far beyond exp's range; the expected
+        # losses and the regret must stay finite
+        scenario = StreamScenario(
+            GaussianProblem(mu0=np.array([-40.0]), mu1=np.array([40.0]), sigma2=1.0),
+            PriorTrajectory(kind="constant", p_before=0.3), horizon=50)
+        ledger, _ = run_regret_experiment(scenario, AdapterConfig(),
+                                          np.random.default_rng(0))
+        for arr in (ledger.alg_expected, ledger.oracle_expected, ledger.cum_regret):
+            assert np.all(np.isfinite(arr))
+
     def test_deterministic_given_rng_seed(self):
         a, _ = run_regret_experiment(self.scenario(), AdapterConfig(),
                                      np.random.default_rng(7))

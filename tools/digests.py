@@ -1,0 +1,89 @@
+"""Print a sha256 prefix for every file the reference obil commands write.
+
+Run from anywhere, with numpy installed:
+
+    python3 tools/digests.py                     # this checkout
+    python3 tools/digests.py --root OTHER_CHECKOUT
+
+The commands, each through `obil.cli.main` in this process:
+
+- `obil run` on the README config (seeds 0-2) and on the `drift_long`
+  config, both read from the checkout's `perfbench/run.py`;
+- `obil train` (`ensemble.bin`), `obil simulate` (`trace.jsonl`) and
+  `obil regret` (`regret.tsv`) on the README config, where qc = 1.
+
+Each line is `<first 8 hex digits of sha256> <path under the output
+directory>`, sorted by path.  Two checkouts that print the same lines wrote
+the same bytes, up to a collision of 8 hex digits.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def load_configs(root: Path):
+    """README_CONFIG and DRIFT_CONFIG as `perfbench/run.py` defines them."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.README_CONFIG, module.DRIFT_CONFIG
+
+
+def write_outputs(root: Path, out: Path):
+    sys.path.insert(0, str(root / "src"))
+    import obil.cli
+
+    # an installed obil (or an import hook) could win over root/src, and
+    # both checkouts would then hash the same code
+    loaded = Path(obil.cli.__file__).resolve()
+    if not loaded.is_relative_to((root / "src").resolve()):
+        raise SystemExit(f"imported obil from {loaded}, not from {root / 'src'}")
+
+    readme, drift = load_configs(root)
+    jobs = [("readme", "run", readme), ("drift", "run", drift),
+            ("train", "train", readme), ("simulate", "simulate", readme),
+            ("regret", "regret", readme)]
+    for name, command, config in jobs:
+        config_path = out / f"{name}.json"
+        config_path.write_text(json.dumps(config))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = obil.cli.main([command, "--config", str(config_path),
+                                  "--out", str(out / name)])
+        if code != 0:
+            raise SystemExit(f"obil {command} on the {name} config exited with {code}")
+        config_path.unlink()
+
+
+def digest_lines(out: Path):
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()[:8]
+        yield f"{digest} {path.relative_to(out).as_posix()}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=REPO,
+                        help="checkout whose src/ and perfbench/run.py are used")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        write_outputs(args.root.resolve(), out)
+        for line in digest_lines(out):
+            print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -144,23 +144,31 @@ def parse_config(cfg: dict) -> dict:
         p_cap=float(scn.get("p_cap", 0.8)),
     )
 
-    dim = problem.dim if problem is not None else None
-    parsed = {
-        "data": data,
-        "problem": problem,
-        "loss": loss,
-        "network_kwargs": {
+    try:
+        network_kwargs = {
             "hidden_dims": tuple(net.get("hidden_dims", [128, 64, 32])),
             "activation": net.get("activation", "relu"),
             "dropout_rate": float(net.get("dropout_rate", 0.1)),
-        },
-        "training": TrainingConfig(
+        }
+        # callers add the input dimension and the seed; check the rest now
+        NetworkConfig(input_dim=1, **network_kwargs)
+        training = TrainingConfig(
             learning_rate=float(trn.get("learning_rate", 1e-3)),
             max_epochs=int(trn.get("max_epochs", 100)),
             batch_size=int(trn.get("batch_size", 32)),
             early_stop_patience=int(trn.get("early_stop_patience", 10)),
             validation_fraction=float(trn.get("validation_fraction", 0.15)),
-        ),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid network or training section: {exc}") from None
+
+    dim = problem.dim if problem is not None else None
+    parsed = {
+        "data": data,
+        "problem": problem,
+        "loss": loss,
+        "network_kwargs": network_kwargs,
+        "training": training,
         "ensemble_kwargs": ens,
         "adapter": AdapterConfig(
             qc=float(adp.get("qc", 1.0)),

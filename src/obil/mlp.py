@@ -38,6 +38,8 @@ class NetworkConfig:
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         if len(self.hidden_dims) == 0:
             raise ValueError("need at least one hidden layer")
+        if min(self.hidden_dims) < 1:
+            raise ValueError("hidden layer widths must be at least 1")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must lie in [0, 1)")
         if self.activation not in ("relu", "tanh"):
@@ -53,7 +55,9 @@ class TrainingConfig:
     validation_fraction: float = 0.15
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.max_epochs < 1 or self.batch_size < 1:
+        if not np.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise ValueError("learning_rate must be finite and positive")
+        if self.max_epochs < 1 or self.batch_size < 1:
             raise ValueError("invalid training configuration")
         if not (0.0 < self.validation_fraction < 1.0):
             raise ValueError("validation_fraction must lie in (0, 1)")
@@ -86,7 +90,7 @@ class CalibratedScorer:
 
     def _act_grad(self, z):
         if self.activation == "relu":
-            return (z > 0).astype(float)
+            return z > 0
         return 1.0 - np.tanh(z) ** 2
 
     def _check_input(self, x):
@@ -106,8 +110,9 @@ class CalibratedScorer:
         only checked.  Without a record the activations are masked in place:
         a mask entry is exactly 1/keep or 0, so multiplying by the boolean
         mask and then by 1/keep gives the same bits as multiplying by the
-        float mask, without holding z or a float mask.  With a record, each
-        layer's input, z and float mask are kept for backprop.
+        float mask, without holding z or a float mask.  With a record, the
+        masks must be supplied, and each layer's input, z and float mask
+        masks[i] / keep are kept for backprop.
         """
         self._check_input(x)
         h = x
@@ -123,7 +128,7 @@ class CalibratedScorer:
                 if rng is None and masks is None:
                     raise ValueError("dropout requires a random generator")
                 if record is not None:
-                    mask = (rng.random(a.shape) < keep) / keep
+                    mask = masks[i] / keep
                     a = a * mask
                 else:
                     del z
@@ -167,9 +172,6 @@ class CalibratedScorer:
     def parameters(self):
         return self.weights + self.biases
 
-    def copy_parameters(self):
-        return [p.copy() for p in self.parameters()]
-
     def set_parameters(self, params):
         n = len(self.weights)
         self.weights = [p.copy() for p in params[:n]]
@@ -196,68 +198,114 @@ def _targets(labels, loss: LossSpec):
     return y if loss.logit_space else 2.0 * y - 1.0
 
 
+def _flat_views(flat, scorer: CalibratedScorer) -> list:
+    """Views into the 1-D `flat`, shaped and ordered like scorer.parameters()."""
+    views, start = [], 0
+    for p in scorer.parameters():
+        views.append(flat[start:start + p.size].reshape(p.shape))
+        start += p.size
+    return views
+
+
 def loss_and_gradients(scorer: CalibratedScorer, x, labels, loss: LossSpec,
-                       loss_weight: float = 1.0, dropout_rng=None):
-    """Mean loss over the batch and gradients for every weight/bias array."""
+                       loss_weight: float = 1.0, masks=None, out=None, gradients=True):
+    """Mean loss over the batch and gradients for every weight/bias array.
+
+    `masks` are the batch's boolean keep-masks, one (n, h) array per hidden
+    layer; without them dropout is off.  The gradients are written into
+    `out`, arrays shaped and ordered as scorer.parameters() (by default
+    views into one new flat buffer), and `out` is returned.  With
+    gradients=False only the loss is computed, and None stands for them.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
-    record = []
-    z_out = scorer._hidden_pass(x, dropout_active=dropout_rng is not None,
-                                rng=dropout_rng, record=record)
+    record = [] if gradients else None
+    z_out = scorer._hidden_pass(x, dropout_active=masks is not None, masks=masks,
+                                record=record)
     t = _targets(labels, loss)
     o = z_out if loss.logit_space else np.tanh(z_out)
     values, dz = loss.fn(o, t, loss_weight)
+    if not gradients:
+        return float(np.mean(values)), None
     if not loss.logit_space:
         dz = dz * (1.0 - o ** 2)
     dz = dz / n
 
-    grads_w = [None] * len(scorer.weights)
-    grads_b = [None] * len(scorer.biases)
+    if out is None:
+        out = _flat_views(np.empty(sum(p.size for p in scorer.parameters())), scorer)
+    n_layers = len(scorer.weights)
     delta = dz[:, None]  # (n, 1) gradient at the output pre-activation
-    h_in, _, _ = record[-1]
-    grads_w[-1] = h_in.T @ delta
-    grads_b[-1] = delta.sum(axis=0)
-    upstream = delta @ scorer.weights[-1].T
-    for i in range(len(scorer.weights) - 2, -1, -1):
+    for i in range(n_layers - 1, -1, -1):
         h_in, z, mask = record[i]
-        if mask is not None:
-            upstream = upstream * mask
-        delta = upstream * scorer._act_grad(z)
-        grads_w[i] = h_in.T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        if i < n_layers - 1:
+            if mask is not None:
+                upstream = upstream * mask
+            delta = upstream * scorer._act_grad(z)
+        np.matmul(h_in.T, delta, out=out[i])
+        delta.sum(axis=0, out=out[n_layers + i])
         if i > 0:
             upstream = delta @ scorer.weights[i].T
-    return float(np.mean(values)), grads_w + grads_b
+    return float(np.mean(values)), out
 
 
 class AdamState:
-    """Adam moments for a list of parameter arrays (beta 0.9/0.999, eps 1e-8)."""
+    """Adam moments for one flat parameter vector (beta 0.9/0.999, eps 1e-8)."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, theta, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
         self.t = 0
 
-    def step(self, params, grads):
+    def step(self, theta, grad):
+        """One Adam update of `theta` in place from the flat gradient `grad`."""
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad * grad
+        theta -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+
+
+def _batch_masks(rng: np.random.Generator, b: int, hidden: list, keep: float) -> list:
+    """Boolean keep-masks (b, h) for each hidden width, from one draw.
+
+    Generator.random fills in order, so one rng.random(b * sum(hidden))
+    cut layer after layer is the stream of one rng.random((b, h)) per layer.
+    """
+    kept = rng.random(b * sum(hidden)) < keep
+    masks, start = [], 0
+    for h in hidden:
+        masks.append(kept[start:start + b * h].reshape(b, h))
+        start += b * h
+    return masks
 
 
 def train(dataset: LabeledDataset, net_cfg: NetworkConfig, train_cfg: TrainingConfig,
           loss_name: str = "squared", loss_weight: float = 1.0) -> CalibratedScorer:
-    """Fit a scorer with Adam, early-stopping on a stratified validation split."""
+    """Fit a scorer with Adam, early-stopping on a stratified validation split.
+
+    Every random draw comes from one default_rng(net_cfg.seed), in this
+    order: the initial weights; then, per epoch, one permutation of the
+    training rows; then, for each batch in turn, its hidden-layer dropout
+    masks layer by layer (none without dropout).  The weights and biases
+    live in one flat vector while training runs, and so do their gradients
+    and Adam moments; the returned scorer holds its own arrays.
+    """
     dataset.require_both_classes()
     loss = get_loss(loss_name)
     rng = np.random.default_rng(net_cfg.seed)
     scorer = init_scorer(net_cfg, dataset.imbalance_ratio, loss_name, rng=rng)
+    theta = np.concatenate([p.ravel() for p in scorer.parameters()])
+    params = _flat_views(theta, scorer)
+    scorer.weights, scorer.biases = params[:len(scorer.weights)], params[len(scorer.weights):]
+    grad = np.empty_like(theta)
+    grads = _flat_views(grad, scorer)
+    hidden = [w.shape[1] for w in scorer.weights[:-1]]
+    keep = 1.0 - scorer.dropout_rate
 
     val, tr = stratified_split(dataset, [train_cfg.validation_fraction], seed=net_cfg.seed)
     if val.n_positive == 0 or val.n_negative == 0 or len(tr) == 0:
@@ -266,29 +314,31 @@ def train(dataset: LabeledDataset, net_cfg: NetworkConfig, train_cfg: TrainingCo
     x_tr, y_tr = tr.features, tr.labels
     x_val, y_val = val.features, val.labels
 
-    opt = AdamState(scorer.parameters(), train_cfg.learning_rate)
+    opt = AdamState(theta, train_cfg.learning_rate)
     best_val = np.inf
-    best_params = scorer.copy_parameters()
+    best_theta = theta.copy()
     stale = 0
     n = len(x_tr)
     for _ in range(train_cfg.max_epochs):
         order = rng.permutation(n)
         for start in range(0, n, train_cfg.batch_size):
             idx = order[start:start + train_cfg.batch_size]
-            drop_rng = rng if scorer.dropout_rate > 0 else None
-            _, grads = loss_and_gradients(scorer, x_tr[idx], y_tr[idx], loss,
-                                          loss_weight, dropout_rng=drop_rng)
-            opt.step(scorer.parameters(), grads)
-        val_loss, _ = loss_and_gradients(scorer, x_val, y_val, loss, loss_weight)
+            masks = (_batch_masks(rng, len(idx), hidden, keep)
+                     if scorer.dropout_rate > 0 else None)
+            loss_and_gradients(scorer, x_tr[idx], y_tr[idx], loss, loss_weight,
+                               masks=masks, out=grads)
+            opt.step(theta, grad)
+        val_loss, _ = loss_and_gradients(scorer, x_val, y_val, loss, loss_weight,
+                                         gradients=False)
         if val_loss < best_val - 1e-12:
             best_val = val_loss
-            best_params = scorer.copy_parameters()
+            best_theta = theta.copy()
             stale = 0
         else:
             stale += 1
             if stale > train_cfg.early_stop_patience:
                 break
-    scorer.set_parameters(best_params)
+    scorer.set_parameters(_flat_views(best_theta, scorer))
     return scorer
 
 
@@ -418,13 +468,3 @@ def load_scorer_bytes(data: bytes) -> CalibratedScorer:
         biases.append(np.frombuffer(buf.read(8 * n), dtype=np.float64).copy())
     return CalibratedScorer(weights, biases, header["activation"], header["dropout_rate"],
                             header["training_qp"], header["loss_tag"], header["temperature"])
-
-
-def save_scorer(scorer: CalibratedScorer, path):
-    with open(path, "wb") as fh:
-        fh.write(save_scorer_bytes(scorer))
-
-
-def load_scorer(path) -> CalibratedScorer:
-    with open(path, "rb") as fh:
-        return load_scorer_bytes(fh.read())

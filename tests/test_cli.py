@@ -129,6 +129,22 @@ class TestCliExitCodes:
         assert main(["train", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("training", "learning_rate", -1),
+        ("training", "learning_rate", float("nan")),
+        ("network", "dropout_rate", 1.5),
+        ("network", "hidden_dims", [-3]),
+        ("network", "hidden_dims", [0]),
+    ])
+    def test_invalid_network_or_training_value_exits_2(self, tmp_path, capsys,
+                                                       section, key, value):
+        # json.dumps writes NaN, which json.load reads back
+        cfg = write_config(tmp_path, **{section: {**base_config()[section], key: value}})
+        assert main(["train", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_failure_exits_3(self, tmp_path, capsys):
         # a single-class dataset passes config validation but fails training
         cfg = write_config(tmp_path,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from obil.bayes import clamp_output, log_lr_from_output
-from obil.data import DegenerateData, LabeledDataset
+from obil.data import DegenerateData, LabeledDataset, stratified_split
 from obil.losses import get_loss
 from obil.mlp import (CalibratedScorer, NetworkConfig, ShapeError,
                       TrainingConfig, gradient_check, init_scorer,
@@ -114,6 +114,122 @@ class TestTrain:
             train(ds, cfg, TrainingConfig())
 
 
+def replay_train(dataset, net_cfg, train_cfg, loss_name, loss_weight):
+    """Plain reference for train(): array-by-array backprop and Adam, with one
+    rng.random((b, h)) mask draw per hidden layer per batch.
+
+    Returns (parameters, epochs run, training rows, whether the validation
+    split fell back to the whole dataset).
+    """
+    loss = get_loss(loss_name)
+    rng = np.random.default_rng(net_cfg.seed)
+    scorer = init_scorer(net_cfg, dataset.imbalance_ratio, loss_name, rng=rng)
+    ws, bs = scorer.weights, scorer.biases
+    keep = 1.0 - net_cfg.dropout_rate
+    relu = net_cfg.activation == "relu"
+
+    def pass_(x, y, drop):
+        layers, h = [], x
+        for w, b in zip(ws[:-1], bs[:-1]):
+            z = h @ w + b
+            a = np.maximum(z, 0.0) if relu else np.tanh(z)
+            mask = (rng.random(a.shape) < keep) / keep if drop else None
+            if mask is not None:
+                a = a * mask
+            layers.append((h, z, mask))
+            h = a
+        z_out = (h @ ws[-1] + bs[-1])[:, 0]
+        t = np.asarray(y, dtype=float)
+        if not loss.logit_space:
+            t = 2.0 * t - 1.0
+        o = z_out if loss.logit_space else np.tanh(z_out)
+        values, dz = loss.fn(o, t, loss_weight)
+        if not loss.logit_space:
+            dz = dz * (1.0 - o ** 2)
+        delta = (dz / len(x))[:, None]
+        gw, gb = [h.T @ delta], [delta.sum(axis=0)]
+        upstream = delta @ ws[-1].T
+        for i in range(len(layers) - 1, -1, -1):
+            h_in, z, mask = layers[i]
+            if mask is not None:
+                upstream = upstream * mask
+            grad = (z > 0).astype(float) if relu else 1.0 - np.tanh(z) ** 2
+            delta = upstream * grad
+            gw.insert(0, h_in.T @ delta)
+            gb.insert(0, delta.sum(axis=0))
+            if i > 0:
+                upstream = delta @ ws[i].T
+        return float(np.mean(values)), gw + gb
+
+    val, tr = stratified_split(dataset, [train_cfg.validation_fraction], seed=net_cfg.seed)
+    fell_back = val.n_positive == 0 or val.n_negative == 0 or len(tr) == 0
+    if fell_back:
+        tr, val = dataset, dataset
+    params = ws + bs
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    t_adam, best, best_params, stale, epochs = 0, np.inf, [p.copy() for p in params], 0, 0
+    for _ in range(train_cfg.max_epochs):
+        epochs += 1
+        order = rng.permutation(len(tr))
+        for start in range(0, len(tr), train_cfg.batch_size):
+            idx = order[start:start + train_cfg.batch_size]
+            _, grads = pass_(tr.features[idx], tr.labels[idx], net_cfg.dropout_rate > 0)
+            t_adam += 1
+            b1t, b2t = 1.0 - 0.9 ** t_adam, 1.0 - 0.999 ** t_adam
+            for p, g, m, v in zip(params, grads, ms, vs):
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * g * g
+                p -= train_cfg.learning_rate * (m / b1t) / (np.sqrt(v / b2t) + 1e-8)
+        val_loss, _ = pass_(val.features, val.labels, False)
+        if val_loss < best - 1e-12:
+            best, best_params, stale = val_loss, [p.copy() for p in params], 0
+        else:
+            stale += 1
+            if stale > train_cfg.early_stop_patience:
+                break
+    return best_params, epochs, len(tr), fell_back
+
+
+class TestTrainReplay:
+    def test_matches_plain_reference_bytes(self):
+        # train() runs on one flat parameter vector and draws each batch's
+        # masks in one call; the reference does neither, and every trained
+        # parameter must still have the same bytes
+        rng = np.random.default_rng(12)
+        y = (rng.random(75) < 0.4).astype(int)
+        x = np.where(y[:, None] == 1, 0.7, -0.7) + rng.normal(0, 1, (75, 2))
+        ds = LabeledDataset(x, y)
+        y_rare = np.zeros(30, dtype=int)
+        y_rare[[4, 17]] = 1  # round(0.15 * 2) = 0 positives in validation
+        rare = LabeledDataset(rng.normal(0, 1, (30, 2)) + y_rare[:, None], y_rare)
+        cases = [  # (data, activation, dropout, loss, weight, patience, expect)
+            (ds, "relu", 0.0, "squared", 1.0, 50, "full"),
+            (ds, "relu", 0.3, "squared", 1.0, 50, "full"),
+            (ds, "tanh", 0.0, "squared_costweighted", 2.0, 50, "full"),
+            (ds, "tanh", 0.3, "logistic_arctanh", 1.0, 50, "full"),
+            (ds, "relu", 0.3, "xent_sigmoid", 1.0, 50, "full"),
+            (ds, "tanh", 0.3, "squared", 1.0, 0, "early stop"),
+            (rare, "relu", 0.3, "squared", 1.0, 50, "fallback"),
+        ]
+        for data, activation, dropout, loss_name, weight, patience, expect in cases:
+            net = NetworkConfig(input_dim=2, hidden_dims=(6, 5, 4), activation=activation,
+                                dropout_rate=dropout, seed=31)
+            fit = TrainingConfig(learning_rate=0.05, max_epochs=12, batch_size=16,
+                                 early_stop_patience=patience)
+            got = train(data, net, fit, loss_name, weight)
+            want, epochs, n_train, fell_back = replay_train(data, net, fit, loss_name, weight)
+            case = (activation, dropout, loss_name, expect)
+            assert n_train % fit.batch_size != 0, case  # a last partial batch runs
+            assert (epochs < fit.max_epochs) == (expect == "early stop"), case
+            assert fell_back == (expect == "fallback"), case
+            for g, w in zip(got.parameters(), want):
+                assert g.tobytes() == w.tobytes(), case
+                assert g.base is None, case  # the returned scorer owns its arrays
+
+
 class TestGradientCheck:
     def test_fresh_network_all_losses(self):
         rng = np.random.default_rng(3)
@@ -125,6 +241,20 @@ class TestGradientCheck:
             scorer = init_scorer(cfg, 1.0, loss_name)
             weight = 3.0 if loss_name == "squared_costweighted" else 1.0
             assert gradient_check(scorer, x, y, loss_name, weight) <= 1e-5
+
+    def test_loss_alone_matches_loss_with_gradients(self):
+        # train() scores its validation split without backprop
+        rng = np.random.default_rng(4)
+        x = rng.normal(0, 1, (9, 3))
+        y = np.array([0, 1, 0, 1, 1, 0, 0, 1, 0])
+        for loss_name in ("squared", "squared_costweighted",
+                          "logistic_arctanh", "xent_sigmoid"):
+            scorer = init_scorer(NetworkConfig(input_dim=3, hidden_dims=(5, 4), seed=2),
+                                 1.0, loss_name)
+            alone, none = loss_and_gradients(scorer, x, y, get_loss(loss_name), 2.0,
+                                             gradients=False)
+            assert none is None
+            assert alone == loss_and_gradients(scorer, x, y, get_loss(loss_name), 2.0)[0]
 
     def test_gradient_vanishes_at_saturation(self):
         # with outputs saturated toward the matching labels the squared-loss
@@ -280,6 +410,14 @@ class TestConfigs:
             NetworkConfig(input_dim=1, hidden_dims=())
         with pytest.raises(ValueError):
             NetworkConfig(input_dim=1, hidden_dims=(4,), dropout_rate=1.0)
+        for widths in ((0,), (4, -3)):
+            with pytest.raises(ValueError):
+                NetworkConfig(input_dim=1, hidden_dims=widths)
+
+    def test_training_config_validation(self):
+        for lr in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                TrainingConfig(learning_rate=lr)
 
     def test_defaults(self):
         cfg = NetworkConfig(input_dim=2)

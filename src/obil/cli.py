@@ -18,7 +18,7 @@ from .adapter import run_log_lr_stream
 from .bayes import posterior_from_log_lr
 from .data import stratified_split
 from .ensemble import load_ensemble, save_ensemble
-from .experiment import (DEFAULT_SPLIT, ConfigError, ParseError,
+from .experiment import (DEFAULT_SPLIT, ConfigError, ParseError, check_seeds,
                          evaluate_predictions, fit_ensemble,
                          fit_scorer_temperature, ingest_csv, load_config,
                          run_experiment, scorer_posteriors,
@@ -35,7 +35,7 @@ ECE_GATE = 0.05
 def _load(args):
     parsed = load_config(args.config)
     if args.seed is not None:
-        parsed["seeds"] = [args.seed]
+        parsed["seeds"] = check_seeds([args.seed])
     return parsed
 
 

@@ -15,7 +15,7 @@ from .data import LabeledDataset, stratified_split
 from .mlp import (CalibratedScorer, NetworkConfig, TrainingConfig,
                   load_scorer_bytes, mc_dropout_log_lr_variance,
                   mc_dropout_log_lr_variance_batch, save_scorer_bytes, train)
-from .resampling import AssociatedProblemSpec, make_associated
+from .resampling import RESAMPLE_METHODS, AssociatedProblemSpec, make_associated
 
 MAGIC_ENSEMBLE = b"OBIL-ENS-v1"
 
@@ -44,6 +44,8 @@ class EnsembleConfig:
             raise ValueError("fusion temperature must be positive")
         if self.mc_samples < 2:
             raise ValueError("need at least two MC samples")
+        if self.resample_method not in RESAMPLE_METHODS:
+            raise ValueError(f"unknown resampling method {self.resample_method!r}")
 
     @property
     def k(self) -> int:

@@ -5,8 +5,11 @@ and plot-ready report emission.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +28,7 @@ from .simulate import (GaussianProblem, PriorTrajectory, StreamScenario,
                        run_regret_experiment)
 
 DEFAULT_SPLIT = (0.70, 0.15, 0.15)  # train / calibration / test
+_PR_SET_PDEATHSIG = 1  # prctl option, from <linux/prctl.h>
 
 
 class ConfigError(ValueError):
@@ -96,8 +100,30 @@ def _section(cfg: dict, name: str, default=None):
     return value
 
 
+@contextmanager
+def _section_values(name: str):
+    """Turn a bad value met while building section `name` into a ConfigError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {name}: {exc}") from None
+
+
+def check_seeds(seeds) -> list:
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigError("seeds must be a nonempty list")
+    for s in seeds:
+        if isinstance(s, bool) or not isinstance(s, int) or s < 0:
+            raise ConfigError(f"seeds must be nonnegative integers, got {s!r}")
+    return list(seeds)
+
+
 def parse_config(cfg: dict) -> dict:
-    """Validate a raw config dict; returns typed components."""
+    """Validate a raw config dict; returns typed components.
+
+    Every value a command reads is checked here, so a bad config fails with
+    a ConfigError before any training starts.
+    """
     data = _section(cfg, "data", {"kind": "gaussian"})
     kind = data.get("kind", "gaussian")
     if kind not in ("gaussian", "csv"):
@@ -122,29 +148,22 @@ def parse_config(cfg: dict) -> dict:
                      "logit_adjustment_oracle", "bbse"):
             raise ConfigError(f"unknown baseline {b!r}")
 
-    seeds = cfg.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("seeds must be a nonempty list")
+    seeds = check_seeds(cfg.get("seeds", [0]))
 
-    problem = GaussianProblem(
-        mu0=np.asarray(data.get("mu0", [-1.0]), dtype=float),
-        mu1=np.asarray(data.get("mu1", [1.0]), dtype=float),
-        sigma2=float(data.get("sigma2", 1.0)),
-    ) if kind == "gaussian" else None
+    with _section_values("data section"):
+        problem = GaussianProblem(
+            mu0=np.asarray(data.get("mu0", [-1.0]), dtype=float),
+            mu1=np.asarray(data.get("mu1", [1.0]), dtype=float),
+            sigma2=float(data.get("sigma2", 1.0)),
+        ) if kind == "gaussian" else None
+        train_size = int(data.get("n", 2000))
+        train_p1 = float(data.get("p1", 0.5))
+        if train_size < 1:
+            raise ValueError(f"n must be at least 1, got {train_size}")
+        if not 0.0 <= train_p1 <= 1.0:
+            raise ValueError(f"p1 must lie in [0, 1], got {train_p1}")
 
-    traj_kind = scn.get("kind", "constant")
-    trajectory = PriorTrajectory(
-        kind=traj_kind,
-        p_before=float(scn.get("p_before", scn.get("p1", 0.5))),
-        p_after=float(scn.get("p_after", 0.5)),
-        t_switch=int(scn.get("t_switch", 0)),
-        decay_steps=int(scn.get("decay_steps", 1000)),
-        p_start=float(scn.get("p_start", 0.2)),
-        slope=float(scn.get("slope", 0.0)),
-        p_cap=float(scn.get("p_cap", 0.8)),
-    )
-
-    try:
+    with _section_values("network or training section"):
         network_kwargs = {
             "hidden_dims": tuple(net.get("hidden_dims", [128, 64, 32])),
             "activation": net.get("activation", "relu"),
@@ -159,18 +178,23 @@ def parse_config(cfg: dict) -> dict:
             early_stop_patience=int(trn.get("early_stop_patience", 10)),
             validation_fraction=float(trn.get("validation_fraction", 0.15)),
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid network or training section: {exc}") from None
 
-    dim = problem.dim if problem is not None else None
-    parsed = {
-        "data": data,
-        "problem": problem,
-        "loss": loss,
-        "network_kwargs": network_kwargs,
-        "training": training,
-        "ensemble_kwargs": ens,
-        "adapter": AdapterConfig(
+    with _section_values("ensemble section"):
+        ensemble_kwargs = {
+            "fusion_temperature": float(ens.get("fusion_temperature", 1.0)),
+            "mc_samples": int(ens.get("mc_samples", 30)),
+            "calibration_fraction": float(ens.get("calibration_fraction", 0.15)),
+            "resample_method": ens.get("resample_method", "undersample"),
+        }
+        target_qps = ens.get("target_qps")
+        if target_qps is not None:
+            target_qps = EnsembleConfig(target_qps, **ensemble_kwargs).target_qps
+        else:
+            # the default ratios follow the data; check the other fields now
+            EnsembleConfig(**ensemble_kwargs)
+
+    with _section_values("adapter section"):
+        adapter = AdapterConfig(
             qc=float(adp.get("qc", 1.0)),
             initial_p1=float(adp.get("initial_p1", 0.5)),
             alpha=float(adp.get("alpha", 0.05)),
@@ -178,16 +202,40 @@ def parse_config(cfg: dict) -> dict:
             beta=float(adp.get("beta", 0.6)),
             delta_max=float(adp.get("delta_max", 0.02)),
             window_w=int(adp.get("window_w", 100)),
-        ),
+        )
+
+    with _section_values("scenario section"):
+        trajectory = PriorTrajectory(
+            kind=scn.get("kind", "constant"),
+            p_before=float(scn.get("p_before", scn.get("p1", 0.5))),
+            p_after=float(scn.get("p_after", 0.5)),
+            t_switch=int(scn.get("t_switch", 0)),
+            decay_steps=int(scn.get("decay_steps", 1000)),
+            p_start=float(scn.get("p_start", 0.2)),
+            slope=float(scn.get("slope", 0.0)),
+            p_cap=float(scn.get("p_cap", 0.8)),
+        )
+        horizon = int(scn.get("horizon", 1000))
+        if horizon < 1:
+            raise ValueError(f"horizon must be at least 1, got {horizon}")
+
+    return {
+        "data": data,
+        "problem": problem,
+        "loss": loss,
+        "network_kwargs": network_kwargs,
+        "training": training,
+        "ensemble_kwargs": ensemble_kwargs,
+        "target_qps": target_qps,
+        "adapter": adapter,
         "trajectory": trajectory,
-        "horizon": int(scn.get("horizon", 1000)),
-        "train_size": int(data.get("n", 2000)),
-        "train_p1": float(data.get("p1", 0.5)),
+        "horizon": horizon,
+        "train_size": train_size,
+        "train_p1": train_p1,
         "baselines": bas,
-        "seeds": [int(s) for s in seeds],
-        "input_dim": dim,
+        "seeds": seeds,
+        "input_dim": problem.dim if problem is not None else None,
     }
-    return parsed
 
 
 def load_config(path) -> dict:
@@ -202,19 +250,12 @@ def load_config(path) -> dict:
 
 
 def ensemble_config_from(parsed: dict, native_qp: float) -> EnsembleConfig:
-    ens = parsed["ensemble_kwargs"]
-    targets = ens.get("target_qps")
+    targets = parsed["target_qps"]
     if targets is None:
         targets = [q for q in (1.0, 2.0, 5.0, 10.0) if q <= native_qp] or [1.0]
         if all(abs(native_qp - t) > 0.25 for t in targets):
             targets.append(round(native_qp, 4))
-    return EnsembleConfig(
-        target_qps=tuple(float(q) for q in targets),
-        fusion_temperature=float(ens.get("fusion_temperature", 1.0)),
-        mc_samples=int(ens.get("mc_samples", 30)),
-        calibration_fraction=float(ens.get("calibration_fraction", 0.15)),
-        resample_method=ens.get("resample_method", "undersample"),
-    )
+    return EnsembleConfig(target_qps=tuple(targets), **parsed["ensemble_kwargs"])
 
 
 # ---------------------------------------------------------------------------
@@ -382,25 +423,84 @@ def _aggregate(per_seed):
     return agg
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _init_worker(parent_pid: int):
+    """Pool initializer: tie the worker to its parent, use one OpenBLAS thread.
+
+    A worker whose parent was killed would wait for work forever, so on
+    Linux it asks for SIGKILL when the parent dies.  Workers share the
+    CPUs, and a second OpenBLAS thread in each would only compete with the
+    other workers, so the OpenBLAS that numpy loaded, if it is OpenBLAS, is
+    capped at one thread.
+    """
+    import ctypes
+    import signal
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent_pid:  # the parent died before prctl
+        os._exit(1)
+    try:
+        maps = Path("/proc/self/maps").read_text().splitlines()
+    except OSError:
+        return
+    libs = {line.split()[-1] for line in maps if "openblas" in line.split()[-1]}
+    for lib_path in sorted(libs):
+        lib = ctypes.CDLL(lib_path)
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [ctypes.c_int], None
+                fn(1)
+                return
+
+
+def _run_seed(parsed: dict, seed: int, out: Path) -> dict:
+    """Run one seed, write its directory under `out`, return its metrics."""
+    result = run_single_seed(parsed, seed)
+    seed_dir = out / f"seed_{seed}"
+    seed_dir.mkdir(exist_ok=True)
+    with open(seed_dir / "metrics.json", "w") as fh:
+        json.dump(result["metrics"], fh, indent=2, sort_keys=True)
+    write_trace(seed_dir / "trace.jsonl", result["trace"])
+    write_regret(seed_dir / "regret.tsv", result["regret"])
+    return result["metrics"]
+
+
 def run_experiment(parsed: dict, out_dir):
     """Run every configured seed and write the report tree.
 
     Layout: <out>/seed_<n>/{metrics.json, trace.jsonl, regret.tsv} plus
-    <out>/report.json with per-seed rows and mean/std aggregates.
+    <out>/report.json with per-seed rows and mean/std aggregates.  Each
+    distinct seed runs once, in forked worker processes when there are
+    several seeds and CPUs; a repeated seed repeats its report row.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seeds = parsed["seeds"]
-    per_seed_metrics = []
-    for seed in seeds:
-        result = run_single_seed(parsed, seed)
-        seed_dir = out / f"seed_{seed}"
-        seed_dir.mkdir(exist_ok=True)
-        with open(seed_dir / "metrics.json", "w") as fh:
-            json.dump(result["metrics"], fh, indent=2, sort_keys=True)
-        write_trace(seed_dir / "trace.jsonl", result["trace"])
-        write_regret(seed_dir / "regret.tsv", result["regret"])
-        per_seed_metrics.append(result["metrics"])
+    distinct = list(dict.fromkeys(seeds))
+    run_seed = functools.partial(_run_seed, parsed, out=out)
+    workers = min(len(distinct), usable_cpus()) if hasattr(os, "fork") else 1
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        # map cancels the seeds not yet started once one raises
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_init_worker,
+                                 initargs=(os.getpid(),)) as pool:
+            metrics = list(pool.map(run_seed, distinct))
+    else:
+        metrics = [run_seed(seed) for seed in distinct]
+    by_seed = dict(zip(distinct, metrics))
+    per_seed_metrics = [by_seed[seed] for seed in seeds]
 
     report = {
         "tool_version": __version__,

@@ -26,6 +26,9 @@ class TooFewMinority(ValueError):
     pass
 
 
+RESAMPLE_METHODS = ("undersample", "oversample", "smote")
+
+
 @dataclass(frozen=True)
 class AssociatedProblemSpec:
     target_qp: float
@@ -36,7 +39,7 @@ class AssociatedProblemSpec:
     def __post_init__(self):
         if self.target_qp <= 0:
             raise InfeasibleTarget("target_qp must be positive")
-        if self.method not in ("undersample", "oversample", "smote"):
+        if self.method not in RESAMPLE_METHODS:
             raise ValueError(f"unknown resampling method {self.method!r}")
 
 

@@ -53,6 +53,9 @@ class GaussianProblem:
         return LabeledDataset(self.sample(y, rng), y)
 
 
+TRAJECTORY_KINDS = ("constant", "abrupt", "linear_drift")
+
+
 @dataclass(frozen=True)
 class PriorTrajectory:
     """Deterministic minority-prior schedule over the stream."""
@@ -68,6 +71,10 @@ class PriorTrajectory:
     p_cap: float = 0.8
     floor: float = PRIOR_FLOOR
 
+    def __post_init__(self):
+        if self.kind not in TRAJECTORY_KINDS:
+            raise ValueError(f"unknown trajectory kind {self.kind!r}")
+
     def p1_at(self, t: int) -> float:
         if self.kind == "constant":
             p = self.p_before
@@ -81,11 +88,9 @@ class PriorTrajectory:
                 p = self.p_before
             else:
                 p = self.p_after
-        elif self.kind == "linear_drift":
+        else:  # linear_drift
             p = min(self.p_start + self.slope * t, self.p_cap) if self.slope >= 0 \
                 else max(self.p_start + self.slope * t, self.p_cap)
-        else:
-            raise ValueError(f"unknown trajectory kind {self.kind!r}")
         return min(max(p, self.floor), 1.0 - self.floor)
 
 

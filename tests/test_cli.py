@@ -1,8 +1,17 @@
+import contextlib
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from obil import experiment
 from obil.cli import main
 from obil.data import LabeledDataset
 from obil.experiment import (ConfigError, ParseError, _aggregate, ingest_csv,
@@ -145,6 +154,37 @@ class TestCliExitCodes:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("run", "data", "n", 0),
+        ("run", "data", "p1", 1.5),
+        ("run", "data", "mu1", [1.0, 2.0]),
+        ("run", "adapter", "qc", -1),
+        ("run", "adapter", "window_w", "wide"),
+        ("run", "ensemble", "mc_samples", 1),
+        ("run", "ensemble", "fusion_temperature", 0),
+        ("run", "ensemble", "resample_method", "bogus"),
+        ("run", "scenario", "kind", "bogus"),
+        ("run", None, "seeds", ["a"]),
+        ("run", None, "seeds", [-1]),
+        ("run", None, "seeds", [1.5]),
+        ("simulate", "scenario", "horizon", -5),
+        ("train", "scenario", "horizon", -5),
+    ])
+    def test_invalid_section_value_or_seed_exits_2(
+            self, tmp_path, capsys, command, section, key, value):
+        overrides = {key: value} if section is None else \
+            {section: {**base_config()[section], key: value}}
+        cfg = write_config(tmp_path, **overrides)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["run", "--config", cfg, "--seed", "-1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_runtime_failure_exits_3(self, tmp_path, capsys):
         # a single-class dataset passes config validation but fails training
         cfg = write_config(tmp_path,
@@ -260,3 +300,131 @@ class TestRun:
         assert agg["obil"]["f1"]["mean"] == pytest.approx(0.6)
         assert agg["obil"]["f1"]["std"] == pytest.approx(0.1)
         assert agg["vanilla"]["f1"]["mean"] == pytest.approx(0.4)
+
+
+def tree_bytes(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture
+def fork_calls(monkeypatch):
+    """Record the contexts run_experiment asks multiprocessing for."""
+    calls = []
+    real = multiprocessing.get_context
+
+    def spy(method=None):
+        calls.append(method)
+        return real(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    return calls
+
+
+class TestSeedPool:
+    def test_pool_writes_serial_bytes(self, tmp_path, monkeypatch, fork_calls):
+        cfg = write_config(tmp_path, seeds=[2, 0, 1])
+        trees = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(experiment, "usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus_{cpus}"
+            assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+            trees[cpus] = tree_bytes(out)
+        assert fork_calls == ["fork"]  # only the two-CPU run used a pool
+        assert len(trees[1]) == 1 + 3 * 3
+        assert trees[1] == trees[2]
+        assert json.loads(trees[2]["report.json"])["seeds"] == [2, 0, 1]
+
+    def test_duplicate_seed_runs_once(self, tmp_path, monkeypatch, fork_calls):
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 2)
+        runs = []
+        real = experiment.run_single_seed
+
+        def counted(parsed, seed):
+            runs.append(seed)
+            return real(parsed, seed)
+
+        monkeypatch.setattr(experiment, "run_single_seed", counted)
+        once, twice = tmp_path / "once", tmp_path / "twice"
+        assert main(["run", "--config", write_config(tmp_path, "a.json", seeds=[1]),
+                     "--out", str(once)]) == 0
+        assert main(["run", "--config", write_config(tmp_path, "b.json", seeds=[1, 1]),
+                     "--out", str(twice)]) == 0
+        assert runs == [1, 1]  # one call per `obil run`, both in this process
+        assert fork_calls == []
+        single, double = tree_bytes(once), tree_bytes(twice)
+        assert single.keys() == double.keys()
+        assert all(single[k] == double[k] for k in single if k != "report.json")
+        report = json.loads(double["report.json"])
+        assert report["seeds"] == [1, 1]
+        assert report["per_seed"][0] == report["per_seed"][1] == \
+            json.loads(single["report.json"])["per_seed"][0]
+        assert all(stats["std"] == 0.0 for method in report["aggregate"].values()
+                   for stats in method.values())
+
+    def test_worker_stage_failure_exits_3(self, tmp_path, monkeypatch, capsys, fork_calls):
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 2)
+        cfg = write_config(tmp_path, seeds=[0, 1],
+                           data={"kind": "gaussian", "n": 50, "p1": 0.0})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "stage failure" in capsys.readouterr().err
+        assert fork_calls == ["fork"]
+
+    def test_worker_config_error_exits_2(self, tmp_path, monkeypatch, capsys, fork_calls):
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 2)
+        data = tmp_path / "d.csv"
+        data.write_text("x0,label\n1.0,1\n-1.0,0\n")
+        cfg = write_config(tmp_path, seeds=[0, 1], data={"kind": "csv", "path": str(data)})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "requires gaussian data" in capsys.readouterr().err
+        assert fork_calls == ["fork"]
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+    def test_worker_ends_with_killed_parent(self, tmp_path):
+        # the script forks a worker, waits until its initializer ran, and is
+        # then killed; the worker must not outlive it.  The worker lets go of
+        # the script's output pipe, so the script's end closes it
+        script = (
+            "import os, signal, sys\n"
+            "from obil import experiment\n"
+            "r, w = os.pipe()\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    experiment._init_worker(os.getppid())\n"
+            "    null = os.open(os.devnull, os.O_WRONLY)\n"
+            "    os.dup2(null, 1)\n"
+            "    os.dup2(null, 2)\n"
+            "    os.write(w, b'.')\n"
+            "    signal.pause()\n"
+            "os.read(r, 1)\n"
+            "print(pid, flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n")
+        src = str(Path(experiment.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        worker = int(proc.stdout)
+        stat = Path(f"/proc/{worker}/stat")
+        try:
+            for _ in range(100):
+                # gone, or a zombie nobody has reaped yet
+                if not stat.exists() or stat.read_text().rsplit(")", 1)[1].split()[0] == "Z":
+                    break
+                time.sleep(0.05)
+            else:
+                pytest.fail(f"worker {worker} outlived its killed parent")
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(worker, signal.SIGKILL)
+
+    def test_cli_import_leaves_pool_modules_out(self):
+        src = str(Path(experiment.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, obil.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"

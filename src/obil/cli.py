@@ -146,10 +146,16 @@ def cmd_regret(args):
 
 def cmd_evaluate(args):
     parsed = _load(args)
-    ensemble = load_ensemble(args.ensemble)
+    try:
+        ensemble = load_ensemble(args.ensemble)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{args.ensemble}: not a readable ensemble: {exc}") from None
     test = ingest_csv(args.test_csv,
                       parsed["data"].get("label_column", "label"),
                       parsed["data"].get("positive_value", "1"))
+    if test.dim != ensemble.members[0].input_dim:
+        raise ConfigError(f"{args.test_csv}: {test.dim} feature columns, but the "
+                          f"ensemble takes {ensemble.members[0].input_dim}")
     rng = np.random.default_rng(parsed["seeds"][0])
     fused = ensemble.fused_log_lr_batch(test.features, rng)
     adapter_cfg = parsed["adapter"]
@@ -206,7 +212,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.fn(args)
-    except (ConfigError, ParseError, FileNotFoundError) as exc:
+    except (ConfigError, ParseError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime stage failure

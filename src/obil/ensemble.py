@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, stratified_split
-from .mlp import (CalibratedScorer, NetworkConfig, TrainingConfig,
-                  load_scorer_bytes, mc_dropout_log_lr_variance,
+from .mlp import (NetworkConfig, ShapeError, TrainingConfig, load_scorer_bytes,
                   mc_dropout_log_lr_variance_batch, save_scorer_bytes, train)
 from .resampling import RESAMPLE_METHODS, AssociatedProblemSpec, make_associated
 
@@ -61,8 +60,9 @@ class LikelihoodRatioEnsemble:
         return self.members[k].log_lr(x)
 
     def member_variances(self, x, rng: np.random.Generator):
-        return np.array([
-            mc_dropout_log_lr_variance(m, x, self.config.mc_samples, rng)
+        """MC-dropout log-LR variances, shape (K, n) for a batch x of n rows."""
+        return np.stack([
+            mc_dropout_log_lr_variance_batch(m, x, self.config.mc_samples, rng)
             for m in self.members
         ])
 
@@ -77,24 +77,27 @@ class LikelihoodRatioEnsemble:
         """Softmax of negative MC-dropout variances, temperature tau."""
         return self._variance_weights(self.member_variances(x, rng))
 
+    def _fused(self, x, rng: np.random.Generator) -> np.ndarray:
+        """Weighted geometric mean of member ratios, in log space, per row.
+
+        Each member runs its m MC passes over the whole batch, its masks
+        drawn layer by layer (mlp.mc_dropout_outputs), members in order.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        w = self._variance_weights(self.member_variances(x, rng))  # (K, n)
+        logs = np.stack([m.log_lr(x) for m in self.members])
+        return np.sum(w * logs, axis=0)
+
     def fused_log_lr(self, x, rng: np.random.Generator) -> float:
-        """Weighted geometric mean of member ratios, in log space."""
-        w = self.fusion_weights(x, rng)
-        logs = np.array([m.log_lr(x) for m in self.members])
-        return float(w @ logs)
+        """Fused log-LR of one feature vector, shape (d,) or (1, d)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.size != x.shape[-1]:
+            raise ShapeError(f"expected one feature vector, got shape {x.shape}")
+        return float(self._fused(x, rng)[0])
 
     def fused_log_lr_batch(self, x, rng: np.random.Generator) -> np.ndarray:
-        """Fused log-LR for a whole batch; MC-dropout runs vectorized."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
-        var = np.stack([
-            mc_dropout_log_lr_variance_batch(m, x, self.config.mc_samples, rng)
-            for m in self.members
-        ])  # (K, n)
-        w = self._variance_weights(var)
-        logs = np.stack([np.atleast_1d(m.log_lr(x)) for m in self.members])
-        return np.sum(w * logs, axis=0)
+        """Fused log-LR for a whole batch, shape (n,)."""
+        return self._fused(x, rng)
 
 
 def train_ensemble(dataset: LabeledDataset, cfg: EnsembleConfig,

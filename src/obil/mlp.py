@@ -97,22 +97,20 @@ class CalibratedScorer:
         if x.shape[-1] != self.input_dim:
             raise ShapeError(f"expected input dim {self.input_dim}, got {x.shape[-1]}")
 
-    def _hidden_pass(self, x, dropout_active=False, rng=None, record=None,
-                     masks=None, first=None):
+    def _hidden_pass(self, x, record=None, masks=None, first=None):
         """Run up to the scalar pre-activation; optionally record layer state.
 
-        Leading axes of x (such as MC passes) broadcast.  With dropout active
-        each hidden layer draws one mask covering all of them, layer after
-        layer, unless `masks` supplies the boolean keep-masks already drawn
-        (one per hidden layer, broadcasting against that layer's
-        activation).  `first` is layer 1's unmasked activation
+        Leading axes of x (such as MC passes) broadcast.  Dropout is on
+        exactly when `masks` supplies the boolean keep-masks, one per hidden
+        layer, broadcasting against that layer's activation; this method
+        draws no random numbers.  `first` is layer 1's unmasked activation
         act(x @ W1 + b1) when the caller has already computed it; x is then
         only checked.  Without a record the activations are masked in place:
         a mask entry is exactly 1/keep or 0, so multiplying by the boolean
         mask and then by 1/keep gives the same bits as multiplying by the
-        float mask, without holding z or a float mask.  With a record, the
-        masks must be supplied, and each layer's input, z and float mask
-        masks[i] / keep are kept for backprop.
+        float mask, without holding z or a float mask.  With a record, each
+        layer's input, z and float mask masks[i] / keep (None without
+        dropout) are kept for backprop.
         """
         self._check_input(x)
         h = x
@@ -124,17 +122,13 @@ class CalibratedScorer:
                 z = h @ self.weights[i] + self.biases[i]
                 a = self._act(z)
             mask = None
-            if dropout_active and self.dropout_rate > 0.0:
-                if rng is None and masks is None:
-                    raise ValueError("dropout requires a random generator")
+            if masks is not None:
                 if record is not None:
                     mask = masks[i] / keep
                     a = a * mask
                 else:
                     del z
-                    if masks is None:
-                        a *= rng.random(a.shape) < keep
-                    elif a is first:
+                    if a is first:
                         a = a * masks[i]
                     else:
                         a *= masks[i]
@@ -147,10 +141,10 @@ class CalibratedScorer:
             record.append((h, z_out, None))
         return z_out[..., 0]
 
-    def logits(self, x, dropout_active=False, rng=None):
+    def logits(self, x):
         """Raw scalar pre-activation, batched or single-vector."""
         x = np.asarray(x, dtype=float)
-        z = self._hidden_pass(np.atleast_2d(x), dropout_active=dropout_active, rng=rng)
+        z = self._hidden_pass(np.atleast_2d(x))
         return float(z[0]) if x.ndim == 1 else z
 
     def _bounded(self, z):
@@ -159,14 +153,14 @@ class CalibratedScorer:
             return np.tanh(z / (2.0 * self.temperature))
         return np.tanh(z)
 
-    def forward(self, x, dropout_active=False, rng=None):
+    def forward(self, x):
         """Bounded output in (-1, 1)."""
-        z = self.logits(x, dropout_active=dropout_active, rng=rng)
+        z = self.logits(x)
         return self._bounded(z) if np.ndim(z) else float(self._bounded(z))
 
-    def log_lr(self, x, dropout_active=False, rng=None):
+    def log_lr(self, x):
         """Log likelihood ratio via the training imbalance ratio."""
-        o = clamp_output(self.forward(x, dropout_active=dropout_active, rng=rng))
+        o = clamp_output(self.forward(x))
         return log_lr_from_output(o, self.training_qp)
 
     def parameters(self):
@@ -220,8 +214,7 @@ def loss_and_gradients(scorer: CalibratedScorer, x, labels, loss: LossSpec,
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
     record = [] if gradients else None
-    z_out = scorer._hidden_pass(x, dropout_active=masks is not None, masks=masks,
-                                record=record)
+    z_out = scorer._hidden_pass(x, masks=masks, record=record)
     t = _targets(labels, loss)
     o = z_out if loss.logit_space else np.tanh(z_out)
     values, dz = loss.fn(o, t, loss_weight)
@@ -342,17 +335,6 @@ def train(dataset: LabeledDataset, net_cfg: NetworkConfig, train_cfg: TrainingCo
     return scorer
 
 
-def mc_dropout_log_lr_variance(scorer: CalibratedScorer, x, m: int,
-                               rng: np.random.Generator) -> float:
-    """Variance (1/m normalization) of log-LR over m stochastic passes."""
-    if m < 2:
-        raise ValueError("need at least two passes")
-    if scorer.dropout_rate == 0.0:
-        return 0.0
-    samples = np.array([scorer.log_lr(x, dropout_active=True, rng=rng) for _ in range(m)])
-    return float(np.mean((samples - samples.mean()) ** 2))
-
-
 def _keep_masks(scorer: CalibratedScorer, m: int, n: int,
                 rng: np.random.Generator) -> list:
     """Boolean keep-masks (m, n, h), one per hidden layer, drawn layer-major.
@@ -396,14 +378,15 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
     masks = _keep_masks(scorer, m, n, rng)
     z = np.empty((m, n))
     for s in range(m):
-        z[s] = scorer._hidden_pass(x, dropout_active=True, first=first,
-                                   masks=[k[s] for k in masks])
+        z[s] = scorer._hidden_pass(x, first=first, masks=[k[s] for k in masks])
     return scorer._bounded(z)
 
 
 def mc_dropout_log_lr_variance_batch(scorer: CalibratedScorer, x, m: int,
                                      rng: np.random.Generator) -> np.ndarray:
-    """Per-input MC-dropout variance of the log-LR, shape (n,)."""
+    """Per-input MC-dropout variance (1/m normalization) of the log-LR, shape (n,)."""
+    if m < 2:
+        raise ValueError("need at least two passes")
     x = np.asarray(x, dtype=float)
     n = 1 if x.ndim == 1 else x.shape[0]
     if scorer.dropout_rate == 0.0:
@@ -411,6 +394,12 @@ def mc_dropout_log_lr_variance_batch(scorer: CalibratedScorer, x, m: int,
     outs = clamp_output(mc_dropout_outputs(scorer, x, m, rng))
     logs = log_lr_from_output(outs, scorer.training_qp)
     return np.mean((logs - logs.mean(axis=0)) ** 2, axis=0)
+
+
+def mc_dropout_log_lr_variance(scorer: CalibratedScorer, x, m: int,
+                               rng: np.random.Generator) -> float:
+    """Single-vector form of mc_dropout_log_lr_variance_batch."""
+    return float(mc_dropout_log_lr_variance_batch(scorer, x, m, rng)[0])
 
 
 def gradient_check(scorer: CalibratedScorer, x, labels, loss_name: str,
@@ -459,12 +448,13 @@ def load_scorer_bytes(data: bytes) -> CalibratedScorer:
         raise ValueError("not a scorer container")
     header = json.loads(buf.readline().decode())
     shapes = [tuple(s) for s in header["shapes"]]
-    weights, biases = [], []
-    for shp in shapes:
-        n = shp[0] * shp[1]
-        weights.append(np.frombuffer(buf.read(8 * n), dtype=np.float64).reshape(shp).copy())
-    for shp in shapes:
-        n = shp[1]
-        biases.append(np.frombuffer(buf.read(8 * n), dtype=np.float64).copy())
+    arrays = []
+    for n in [r * c for r, c in shapes] + [c for _, c in shapes]:
+        raw = buf.read(8 * n)
+        if len(raw) != 8 * n:
+            raise ValueError("truncated scorer container")
+        arrays.append(np.frombuffer(raw, dtype=np.float64).copy())
+    weights = [a.reshape(shp) for a, shp in zip(arrays, shapes)]
+    biases = arrays[len(shapes):]
     return CalibratedScorer(weights, biases, header["activation"], header["dropout_rate"],
                             header["training_qp"], header["loss_tag"], header["temperature"])

@@ -194,6 +194,60 @@ class TestCliExitCodes:
         assert "stage failure" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A directory holding the base config, its data.csv and its ensemble.bin."""
+    out = tmp_path_factory.mktemp("trained")
+    cfg = write_config(out)
+    assert main(["gen", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    return out
+
+
+def _cut(keep):
+    """A copy of ensemble.bin cut to keep(blob) bytes."""
+    def make(trained, tmp_path):
+        blob = (trained / "ensemble.bin").read_bytes()
+        path = tmp_path / "ensemble.bin"
+        path.write_bytes(blob[:keep(blob)])
+        return path, trained / "data.csv"
+    return make
+
+
+def _wide_csv(trained, tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("x0,x1,label\n0.5,-1.0,1\n-0.25,2.0,0\n")
+    return trained / "ensemble.bin", path
+
+
+def _directory(trained, tmp_path):
+    return trained, trained / "data.csv"
+
+
+def _bad_magic(trained, tmp_path):
+    path = tmp_path / "ensemble.bin"
+    path.write_bytes(b"OBIL-SCORER-v1\n{}\n")
+    return path, trained / "data.csv"
+
+
+class TestEvaluateBadInputs:
+    @pytest.mark.parametrize("make", [
+        _wide_csv, _bad_magic, _directory,
+        _cut(lambda blob: blob.index(b"\n") + 10),  # inside the JSON header
+        _cut(lambda blob: len(blob) // 2),  # inside the members
+        _cut(lambda blob: len(blob) - 1),  # one byte short
+    ], ids=["csv_width", "magic", "directory", "cut_header", "cut_member",
+            "cut_last_byte"])
+    def test_exits_2(self, trained, tmp_path, capsys, make):
+        ensemble, test_csv = make(trained, tmp_path)
+        cfg = str(trained / "config.json")
+        out = tmp_path / "out"
+        assert main(["evaluate", "--config", cfg, "--out", str(out),
+                     "--ensemble", str(ensemble), "--test-csv", str(test_csv)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestPipeline:
     def test_gen_writes_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

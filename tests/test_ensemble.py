@@ -5,8 +5,8 @@ from obil.data import LabeledDataset
 from obil.ensemble import (EnsembleConfig, LikelihoodRatioEnsemble,
                            derive_member_seed, load_ensemble_bytes,
                            save_ensemble_bytes, train_ensemble)
-from obil.mlp import (CalibratedScorer, NetworkConfig, TrainingConfig,
-                      init_scorer)
+from obil.mlp import (CalibratedScorer, NetworkConfig, ShapeError,
+                      TrainingConfig, init_scorer)
 
 
 def constant_scorer(output, training_qp=1.0, dropout=0.0):
@@ -111,8 +111,9 @@ class TestFusedLogLr:
             float(ens.member_log_lr(0, x)))
 
     def test_masked_member(self, monkeypatch):
+        # member_variances is (K, n); one query is n = 1
         monkeypatch.setattr(LikelihoodRatioEnsemble, "member_variances",
-                            lambda self, x, rng: np.array([0.0, 1e6]))
+                            lambda self, x, rng: np.array([[0.0], [1e6]]))
         members = [constant_scorer(2.0 / 3.0), constant_scorer(0.9)]  # ratios 5, 19
         ens = LikelihoodRatioEnsemble(members, EnsembleConfig(
             target_qps=(1.0, 1.0)))
@@ -132,6 +133,38 @@ class TestFusedLogLr:
             logs = [float(ens.member_log_lr(k, x)) for k in range(3)]
             fused = ens.fused_log_lr(x, rng)
             assert min(logs) - 1e-12 <= fused <= max(logs) + 1e-12
+
+    def test_query_is_batch_of_one(self):
+        # one query draws exactly what a one-row batch draws, in the same
+        # order: twin generators give the same bits and end in one state
+        members = [init_scorer(NetworkConfig(input_dim=2, hidden_dims=(6, 4),
+                                             dropout_rate=0.3, seed=s), qp, "squared")
+                   for s, qp in ((0, 1.0), (1, 2.0), (2, 5.0))]
+        ens = LikelihoodRatioEnsemble(members, EnsembleConfig(
+            target_qps=(1.0, 2.0, 5.0), mc_samples=7))
+        g1, g2 = np.random.default_rng(31), np.random.default_rng(31)
+        for x in np.random.default_rng(8).normal(0, 1, (10, 2)):
+            single = ens.fused_log_lr(x, g1)
+            batch = ens.fused_log_lr_batch(x[None], g2)
+            assert isinstance(single, float) and batch.shape == (1,)
+            assert np.float64(single).tobytes() == batch[0].tobytes()
+            assert g1.bit_generator.state == g2.bit_generator.state
+        x = np.array([0.2, -0.4])
+        assert ens.fused_log_lr(x[None], np.random.default_rng(3)) == \
+            ens.fused_log_lr(x, np.random.default_rng(3))
+
+    def test_query_takes_one_feature_vector(self):
+        members = [init_scorer(NetworkConfig(input_dim=2, hidden_dims=(4,),
+                                             dropout_rate=0.3, seed=s), 1.0, "squared")
+                   for s in (0, 1)]
+        ens = LikelihoodRatioEnsemble(members, EnsembleConfig(target_qps=(1.0, 1.0)))
+        gen = np.random.default_rng(0)
+        state = gen.bit_generator.state
+        for x in (np.ones((3, 2)), np.ones((0, 2)), np.ones((1, 1, 2)), np.array(0.5),
+                  np.ones(3), np.ones((1, 3))):
+            with pytest.raises(ShapeError):
+                ens.fused_log_lr(x, gen)
+        assert gen.bit_generator.state == state
 
     def test_batch_agrees_with_scalar_for_zero_dropout(self):
         members = [constant_scorer(0.2, 1.0), constant_scorer(-0.4, 2.0)]

@@ -40,12 +40,18 @@ class TestForward:
         assert scorer.forward(np.array([0.5])) == pytest.approx(np.tanh(0.5))
 
     def test_zero_dropout_is_noop(self):
+        # without dropout every MC pass is the deterministic forward, bit for
+        # bit, and no random number is drawn
         cfg = NetworkConfig(input_dim=2, hidden_dims=(8, 4), seed=3)
         scorer = init_scorer(cfg, 1.0, "squared")
-        x = np.array([0.4, -1.2])
+        xs = np.array([[0.4, -1.2], [2.0, 0.1], [-0.3, 0.7]])
         rng = np.random.default_rng(0)
-        assert scorer.forward(x, dropout_active=True, rng=rng) == \
-            scorer.forward(x, dropout_active=False)
+        state = rng.bit_generator.state
+        for x in (xs, xs[0]):
+            outs = mc_dropout_outputs(scorer, x, 4, rng)
+            want = np.atleast_1d(scorer.forward(x))
+            assert outs.tobytes() == np.broadcast_to(want, (4, want.size)).tobytes()
+        assert rng.bit_generator.state == state
 
     def test_shape_error(self):
         cfg = NetworkConfig(input_dim=2, hidden_dims=(4,))
@@ -273,36 +279,57 @@ class TestMcDropout:
         assert mc_dropout_log_lr_variance(scorer, np.array([0.5]), 10, rng) == 0.0
 
     def test_requires_two_passes(self):
-        scorer = single_layer_scorer(1.0, dropout=0.2)
-        with pytest.raises(ValueError):
-            mc_dropout_log_lr_variance(scorer, np.array([0.5]), 1,
-                                       np.random.default_rng(0))
+        # checked before any draw, with dropout on or off, for one vector
+        # and for a batch
+        for dropout in (0.0, 0.2):
+            scorer = init_scorer(NetworkConfig(input_dim=1, hidden_dims=(4,),
+                                               dropout_rate=dropout), 1.0, "squared")
+            for m in (0, 1):
+                for fn, x in ((mc_dropout_log_lr_variance, np.array([0.5])),
+                              (mc_dropout_log_lr_variance_batch, np.array([[0.5], [1.0]]))):
+                    gen = np.random.default_rng(0)
+                    state = gen.bit_generator.state
+                    with pytest.raises(ValueError, match="two passes"):
+                        fn(scorer, x, m, gen)
+                    assert gen.bit_generator.state == state, (dropout, m, fn.__name__)
 
     def test_replay_oracle(self):
         # recompute the same stochastic passes with a twin generator and an
-        # independent forward implementation, then compare variances
+        # independent forward implementation: per hidden layer, one float
+        # mask block over all (pass, row, unit) entries, layer after layer,
+        # then each pass alone.  The variances must match bit for bit, for
+        # one vector and for a batch, and the generators must end together.
         cfg = NetworkConfig(input_dim=2, hidden_dims=(6, 4), seed=8,
                             dropout_rate=0.3)
         scorer = init_scorer(cfg, 2.0, "squared")
-        x = np.array([0.3, -0.8])
+        xs = np.array([[0.3, -0.8], [1.1, 0.4], [-0.5, -1.5]])
         m = 50
-        got = mc_dropout_log_lr_variance(scorer, x, m, np.random.default_rng(123))
-
-        rng = np.random.default_rng(123)
         keep = 1.0 - scorer.dropout_rate
-        samples = []
-        for _ in range(m):
-            h = x[None, :]
-            for w, b in zip(scorer.weights[:-1], scorer.biases[:-1]):
-                a = np.maximum(h @ w + b, 0.0)
-                mask = (rng.random(a.shape) < keep) / keep
-                h = a * mask
-            z = float((h @ scorer.weights[-1] + scorer.biases[-1])[0, 0])
-            o = float(clamp_output(np.tanh(z)))
-            samples.append(log_lr_from_output(o, scorer.training_qp))
-        samples = np.array(samples)
-        want = float(np.mean((samples - samples.mean()) ** 2))
-        assert abs(got - want) < 1e-10
+        for x in (xs[0], xs):
+            gen = np.random.default_rng(123)
+            if x.ndim == 1:
+                got = np.array([mc_dropout_log_lr_variance(scorer, x, m, gen)])
+            else:
+                got = mc_dropout_log_lr_variance_batch(scorer, x, m, gen)
+
+            rng = np.random.default_rng(123)
+            x2 = np.atleast_2d(x)
+            masks = [(rng.random((m, len(x2), w.shape[1])) < keep) / keep
+                     for w in scorer.weights[:-1]]
+            samples = []
+            for s in range(m):
+                h = x2
+                for w, b, mask in zip(scorer.weights[:-1], scorer.biases[:-1], masks):
+                    h = np.maximum(h @ w + b, 0.0) * mask[s]
+                z = (h @ scorer.weights[-1] + scorer.biases[-1])[:, 0]
+                samples.append(log_lr_from_output(clamp_output(np.tanh(z)),
+                                                  scorer.training_qp))
+            samples = np.array(samples)
+            want = np.mean((samples - samples.mean(axis=0)) ** 2, axis=0)
+            assert got.shape == (len(x2),)
+            assert got.tobytes() == want.tobytes(), x.shape
+            assert gen.bit_generator.state == rng.bit_generator.state, x.shape
+            assert got.min() > 0.0  # dropout really varied the passes
 
     def test_batch_outputs_shape_and_determinism_without_dropout(self):
         cfg = NetworkConfig(input_dim=2, hidden_dims=(4,), seed=1)

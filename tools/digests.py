@@ -10,7 +10,10 @@ The commands, each through `obil.cli.main` in this process:
 - `obil run` on the README config (seeds 0-2) and on the `drift_long`
   config, both read from the checkout's `perfbench/run.py`;
 - `obil train` (`ensemble.bin`), `obil simulate` (`trace.jsonl`) and
-  `obil regret` (`regret.tsv`) on the README config, where qc = 1.
+  `obil regret` (`regret.tsv`) on the README config, where qc = 1;
+- the per-query path: `adapter.run_stream`, one `fused_log_lr` call a row,
+  on that `ensemble.bin` over a fixed 500-row stream of the README scenario,
+  written by `experiment.write_trace` to `query/trace.jsonl`.
 
 Each line is `<first 8 hex digits of sha256> <path under the output
 directory>`, sorted by path.  Two checkouts that print the same lines wrote
@@ -29,7 +32,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 REPO = Path(__file__).resolve().parent.parent
+QUERIES = 500
 
 
 def load_configs(root: Path):
@@ -64,6 +70,17 @@ def write_outputs(root: Path, out: Path):
         if code != 0:
             raise SystemExit(f"obil {command} on the {name} config exited with {code}")
         config_path.unlink()
+
+    from obil.adapter import run_stream
+    from obil.ensemble import load_ensemble
+    from obil.experiment import parse_config, stream_features_labels, write_trace
+    parsed = parse_config(readme)
+    rng = np.random.default_rng(0)
+    feats, _, _ = stream_features_labels(parsed["problem"], parsed["trajectory"], QUERIES, rng)
+    trace = run_stream(load_ensemble(out / "train" / "ensemble.bin"), feats,
+                       parsed["adapter"], rng)
+    (out / "query").mkdir()
+    write_trace(out / "query" / "trace.jsonl", trace)
 
 
 def digest_lines(out: Path):

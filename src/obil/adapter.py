@@ -28,8 +28,10 @@ class AdapterConfig:
     prior_floor: float = PRIOR_FLOOR
 
     def __post_init__(self):
-        if self.qc <= 0:
-            raise ValueError("qc must be positive")
+        if not (math.isfinite(self.qc) and self.qc > 0):
+            raise ValueError("qc must be finite and positive")
+        if not (0.0 <= self.initial_p1 <= 1.0):
+            raise ValueError("initial_p1 must lie in [0, 1]")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
         if not (0.5 < self.gamma < 1.0):

@@ -39,8 +39,12 @@ class EnsembleConfig:
         object.__setattr__(self, "target_qps", tuple(float(q) for q in self.target_qps))
         if len(self.target_qps) == 0:
             raise ValueError("need at least one target imbalance ratio")
-        if self.fusion_temperature <= 0:
-            raise ValueError("fusion temperature must be positive")
+        if not all(np.isfinite(q) and q > 0 for q in self.target_qps):
+            raise ValueError("target imbalance ratios must be finite and positive")
+        if not (np.isfinite(self.fusion_temperature) and self.fusion_temperature > 0):
+            raise ValueError("fusion temperature must be finite and positive")
+        if not (0.0 < self.calibration_fraction < 1.0):
+            raise ValueError("calibration_fraction must lie in (0, 1)")
         if self.mc_samples < 2:
             raise ValueError("need at least two MC samples")
         if self.resample_method not in RESAMPLE_METHODS:

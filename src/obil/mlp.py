@@ -335,6 +335,10 @@ def train(dataset: LabeledDataset, net_cfg: NetworkConfig, train_cfg: TrainingCo
     return scorer
 
 
+# Floats (1 MiB) one block of MC passes may hold per hidden layer.
+_MC_BLOCK_FLOATS = 2 ** 17
+
+
 def _keep_masks(scorer: CalibratedScorer, m: int, n: int,
                 rng: np.random.Generator) -> list:
     """Boolean keep-masks (m, n, h), one per hidden layer, drawn layer-major.
@@ -363,11 +367,13 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
     m passes, layer after layer, as rng.random((m, n, h)) would make them;
     they are kept as boolean keep-masks, drawn up front.  Layer 1 does not
     depend on the pass, so act(x @ W1 + b1) is computed once; the rest of
-    the net runs one pass at a time.  Held at once: the boolean masks
-    (m * n * sum(hidden) bytes), the (m, n) output, layer 1's (n, h1)
-    activation, and a few float arrays of one pass, each at most
-    n * widest hidden layer floats.  Every output bit is that of running
-    all m passes at once.
+    the net runs b passes at a time as one stacked (b, n, h) product, with
+    b = max(1, _MC_BLOCK_FLOATS // (n * widest hidden layer)): a query
+    (n = 1) runs all its passes in one block, a large batch one pass at a
+    time.  Held at once: the boolean masks (m * n * sum(hidden) bytes), the
+    (m, n) output, layer 1's (n, h1) activation, and a few float arrays of
+    one block, each at most max(_MC_BLOCK_FLOATS, n * widest hidden layer)
+    floats.  Every output bit is that of running all m passes at once.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     scorer._check_input(x)
@@ -376,9 +382,12 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
         return scorer._bounded(np.broadcast_to(scorer._hidden_pass(x), (m, n)))
     first = scorer._act(x @ scorer.weights[0] + scorer.biases[0])
     masks = _keep_masks(scorer, m, n, rng)
+    b = max(1, _MC_BLOCK_FLOATS // (n * max(w.shape[1] for w in scorer.weights[:-1])))
     z = np.empty((m, n))
-    for s in range(m):
-        z[s] = scorer._hidden_pass(x, first=first, masks=[k[s] for k in masks])
+    # each block stays a stacked (b, n, h) product: a 2-D (b * n, h)
+    # product lets BLAS pick other kernels and changes the last bits
+    for s in range(0, m, b):
+        z[s:s + b] = scorer._hidden_pass(x, first=first, masks=[k[s:s + b] for k in masks])
     return scorer._bounded(z)
 
 

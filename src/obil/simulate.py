@@ -24,10 +24,16 @@ class GaussianProblem:
     def __post_init__(self):
         object.__setattr__(self, "mu0", np.atleast_1d(np.asarray(self.mu0, dtype=float)))
         object.__setattr__(self, "mu1", np.atleast_1d(np.asarray(self.mu1, dtype=float)))
+        if self.mu0.ndim != 1 or self.mu1.ndim != 1:
+            raise ValueError("class means must be 1-D vectors")
         if self.mu0.shape != self.mu1.shape:
             raise ValueError("class means must share a dimension")
-        if self.sigma2 <= 0:
-            raise ValueError("variance must be positive")
+        if self.mu0.size == 0:
+            raise ValueError("class means need at least one feature")
+        if not (np.all(np.isfinite(self.mu0)) and np.all(np.isfinite(self.mu1))):
+            raise ValueError("class means must be finite")
+        if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
+            raise ValueError("variance must be finite and positive")
 
     @property
     def dim(self) -> int:
@@ -74,6 +80,11 @@ class PriorTrajectory:
     def __post_init__(self):
         if self.kind not in TRAJECTORY_KINDS:
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
+        for name in ("p_before", "p_after", "p_start", "p_cap"):
+            if not (0.0 <= getattr(self, name) <= 1.0):
+                raise ValueError(f"{name} must lie in [0, 1]")
+        if not np.isfinite(self.slope):
+            raise ValueError("slope must be finite")
 
     def p1_at(self, t: int) -> float:
         if self.kind == "constant":

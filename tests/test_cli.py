@@ -169,11 +169,30 @@ class TestCliExitCodes:
         ("run", None, "seeds", [1.5]),
         ("simulate", "scenario", "horizon", -5),
         ("train", "scenario", "horizon", -5),
+        ("run", "data", ("mu0", "mu1"), [[-1.0, -1.0]]),
+        ("run", "data", ("mu0", "mu1"), []),
+        ("run", "data", "mu1", [float("nan")]),
+        ("run", "data", "mu0", [float("inf")]),
+        ("run", "data", "sigma2", float("nan")),
+        ("run", "data", "sigma2", float("inf")),
+        ("run", "ensemble", "fusion_temperature", float("nan")),
+        ("run", "ensemble", "target_qps", [1.0, -1.0]),
+        ("run", "ensemble", "target_qps", [float("nan")]),
+        ("run", "ensemble", "calibration_fraction", 0),
+        ("run", "ensemble", "calibration_fraction", 1.5),
+        ("run", "ensemble", "calibration_fraction", -0.5),
+        ("run", "adapter", "qc", float("nan")),
+        ("run", "adapter", "qc", float("inf")),
+        ("run", "adapter", "initial_p1", float("nan")),
+        ("run", "scenario", "p_before", float("nan")),
+        ("run", "scenario", "slope", float("nan")),
     ])
     def test_invalid_section_value_or_seed_exits_2(
             self, tmp_path, capsys, command, section, key, value):
-        overrides = {key: value} if section is None else \
-            {section: {**base_config()[section], key: value}}
+        # a tuple of keys sets each of them to the value
+        values = dict.fromkeys(key if isinstance(key, tuple) else (key,), value)
+        overrides = values if section is None else \
+            {section: {**base_config()[section], **values}}
         cfg = write_config(tmp_path, **overrides)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "error:" in capsys.readouterr().err

@@ -342,16 +342,19 @@ class TestMcDropout:
     def test_batch_replay_oracle(self):
         # replay the batch passes with a twin generator: per layer, one float
         # mask block over all (pass, row, unit) entries, then each pass
-        # separately; the streamed passes (boolean masks drawn up front,
-        # layer 1 once, one pass at a time) must give the same bits and
-        # leave the generator where the twin is
+        # separately; the blocked passes (boolean masks drawn up front,
+        # layer 1 once, b = max(1, 2**17 // (n * widest layer)) passes at a
+        # time) must give the same bits and leave the generator where the
+        # twin is.  With hidden (64, 32) and m = 30, n = 250 runs blocks of
+        # 8/8/8/6 and n = 1 one block of 30.
         acts = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}
-        rows = np.random.default_rng(7).normal(0, 1, (5, 2))
-        m = 8
-        cases = [((6, 4), "relu", rows), ((6, 4), "tanh", rows),
-                 ((6, 5, 4), "relu", rows), ((6, 5, 4), "tanh", rows),
-                 ((6, 4), "tanh", rows[1])]
-        for hidden_dims, activation, xs in cases:
+        rows = np.random.default_rng(7).normal(0, 1, (250, 2))
+        cases = [((6, 4), "relu", rows[:5], 8), ((6, 4), "tanh", rows[:5], 8),
+                 ((6, 5, 4), "relu", rows[:5], 8), ((6, 5, 4), "tanh", rows[:5], 8),
+                 ((6, 4), "tanh", rows[1], 8),
+                 ((64, 32), "relu", rows, 30), ((64, 32), "tanh", rows, 30),
+                 ((64, 32), "relu", rows[:1], 30), ((64, 32), "tanh", rows[:1], 30)]
+        for hidden_dims, activation, xs, m in cases:
             x2 = np.atleast_2d(xs)
             cfg = NetworkConfig(input_dim=2, hidden_dims=hidden_dims, seed=9,
                                 activation=activation, dropout_rate=0.3)
@@ -368,7 +371,7 @@ class TestMcDropout:
                 hs = [act(h @ w + b) * masks[k] for k, h in enumerate(hs)]
             want = np.array([np.tanh(h @ scorer.weights[-1] + scorer.biases[-1])[:, 0]
                              for h in hs])
-            case = (hidden_dims, activation, x2.shape)
+            case = (hidden_dims, activation, x2.shape, m)
             assert got.shape == (m, len(x2)), case
             assert got.tobytes() == want.tobytes(), case
             assert gen.bit_generator.state == rng.bit_generator.state, case
@@ -387,20 +390,23 @@ class TestMcDropout:
         assert gen.bit_generator.state == state
 
     def test_batch_memory_below_one_float_block(self):
-        # one call holds boolean masks and one pass of floats, never a float
-        # (m, n, h1) block: 30 * 4000 * 64 * 8 bytes = 58.6 MiB here
+        # one call holds boolean masks and one block of passes, at most
+        # 2**17 floats a layer or one pass when that is larger (one pass at
+        # n = 4000, 8 passes at n = 250), never a float (m, n, h1) block
+        # over all passes: 30 * n * 64 * 8 bytes, 58.6 MiB at n = 4000
         cfg = NetworkConfig(input_dim=3, hidden_dims=(64, 32), seed=4, dropout_rate=0.1)
         scorer = init_scorer(cfg, 1.0, "squared")
-        xs = np.random.default_rng(2).normal(0, 1, (4000, 3))
         m = 30
-        tracemalloc.start()
-        try:
-            outs = mc_dropout_outputs(scorer, xs, m, np.random.default_rng(0))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert outs.shape == (m, len(xs))
-        assert peak < m * len(xs) * 64 * 8, peak
+        for n in (4000, 250):
+            xs = np.random.default_rng(2).normal(0, 1, (n, 3))
+            tracemalloc.start()
+            try:
+                outs = mc_dropout_outputs(scorer, xs, m, np.random.default_rng(0))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert outs.shape == (m, n)
+            assert peak < m * n * 64 * 8, (n, peak)
 
     def test_batch_variance_nonnegative_and_shaped(self):
         cfg = NetworkConfig(input_dim=2, hidden_dims=(8,), seed=2,

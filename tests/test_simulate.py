@@ -89,6 +89,16 @@ class TestPriorTrajectory:
         traj = PriorTrajectory(kind="constant", p_before=0.0)
         assert traj.p1_at(0) == pytest.approx(0.005)
 
+    def test_rejects_bad_probabilities_and_slope(self):
+        # each probability must be finite and lie in [0, 1]; the slope finite
+        for field_name in ("p_before", "p_after", "p_start", "p_cap"):
+            for bad in (float("nan"), float("inf"), -0.1, 1.5):
+                with pytest.raises(ValueError, match=field_name):
+                    PriorTrajectory(kind="linear_drift", **{field_name: bad})
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="slope"):
+                PriorTrajectory(kind="linear_drift", slope=bad)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             PriorTrajectory(kind="sinusoid").p1_at(0)

@@ -13,7 +13,11 @@ The commands, each through `obil.cli.main` in this process:
   `obil regret` (`regret.tsv`) on the README config, where qc = 1;
 - the per-query path: `adapter.run_stream`, one `fused_log_lr` call a row,
   on that `ensemble.bin` over a fixed 500-row stream of the README scenario,
-  written by `experiment.write_trace` to `query/trace.jsonl`.
+  written by `experiment.write_trace` to `query/trace.jsonl`;
+- a mid-size batch: the raw float64 bytes of `fused_log_lr_batch` on that
+  `ensemble.bin` over a 250-row stream of the README scenario, written to
+  `batch/fused.bin`.  At 250 rows and hidden widths (64, 32) the MC passes
+  run in blocks of 8, 8, 8 and 6.
 
 Each line is `<first 8 hex digits of sha256> <path under the output
 directory>`, sorted by path.  Two checkouts that print the same lines wrote
@@ -36,6 +40,7 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 QUERIES = 500
+BATCH_ROWS = 250
 
 
 def load_configs(root: Path):
@@ -77,10 +82,16 @@ def write_outputs(root: Path, out: Path):
     parsed = parse_config(readme)
     rng = np.random.default_rng(0)
     feats, _, _ = stream_features_labels(parsed["problem"], parsed["trajectory"], QUERIES, rng)
-    trace = run_stream(load_ensemble(out / "train" / "ensemble.bin"), feats,
-                       parsed["adapter"], rng)
+    ensemble = load_ensemble(out / "train" / "ensemble.bin")
+    trace = run_stream(ensemble, feats, parsed["adapter"], rng)
     (out / "query").mkdir()
     write_trace(out / "query" / "trace.jsonl", trace)
+
+    feats, _, _ = stream_features_labels(parsed["problem"], parsed["trajectory"],
+                                         BATCH_ROWS, np.random.default_rng(1))
+    fused = ensemble.fused_log_lr_batch(feats, np.random.default_rng(250))
+    (out / "batch").mkdir()
+    (out / "batch" / "fused.bin").write_bytes(fused.tobytes())
 
 
 def digest_lines(out: Path):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adapter import run_log_lr_stream
+from .adapter import init, run_log_lr_stream
 from .bayes import posterior_from_log_lr
 from .data import stratified_split
 from .ensemble import load_ensemble, save_ensemble
@@ -164,9 +164,10 @@ def cmd_evaluate(args):
         preds = np.array([r.prediction for r in trace])
         p1s = np.array([r.p1_hat_after for r in trace])
     else:
-        threshold = adapter_cfg.qc * (1.0 - adapter_cfg.initial_p1) / adapter_cfg.initial_p1
+        p1 = init(adapter_cfg).p1_hat  # the initial prior, floored as the adapter floors it
+        threshold = adapter_cfg.qc * (1.0 - p1) / p1
         preds = (np.exp(fused) > threshold).astype(int)
-        p1s = np.full(len(test), adapter_cfg.initial_p1)
+        p1s = np.full(len(test), p1)
     post = posterior_from_log_lr(fused, p1s)
     metrics = evaluate_predictions(preds, test.labels, fused, post)
     print(json.dumps(metrics, indent=2, sort_keys=True))

@@ -18,6 +18,7 @@ from . import __version__
 from .adapter import AdapterConfig, run_log_lr_stream
 from .baselines import bbse_estimate_prior, logit_adjust, threshold_moving_fit
 from .bayes import clamp_output, posterior_from_log_lr
+from .cpus import limit_cpus, one_blas_thread, usable_cpus
 from .data import LabeledDataset, stratified_split
 from .ensemble import EnsembleConfig, LikelihoodRatioEnsemble, train_ensemble
 from .losses import REGISTRY as LOSS_REGISTRY
@@ -423,22 +424,12 @@ def _aggregate(per_seed):
     return agg
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _init_worker(parent_pid: int):
+def _init_worker(parent_pid: int, cpu_share: int):
     """Pool initializer: tie the worker to its parent, use one OpenBLAS thread.
 
     A worker whose parent was killed would wait for work forever, so on
-    Linux it asks for SIGKILL when the parent dies.  Workers share the
-    CPUs, and a second OpenBLAS thread in each would only compete with the
-    other workers, so the OpenBLAS that numpy loaded, if it is OpenBLAS, is
-    capped at one thread.
+    Linux it asks for SIGKILL when the parent dies.  Its MC-dropout passes
+    use at most `cpu_share` threads.
     """
     import ctypes
     import signal
@@ -447,20 +438,8 @@ def _init_worker(parent_pid: int):
         prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
     if os.getppid() != parent_pid:  # the parent died before prctl
         os._exit(1)
-    try:
-        maps = Path("/proc/self/maps").read_text().splitlines()
-    except OSError:
-        return
-    libs = {line.split()[-1] for line in maps if "openblas" in line.split()[-1]}
-    for lib_path in sorted(libs):
-        lib = ctypes.CDLL(lib_path)
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                       "openblas_set_num_threads"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [ctypes.c_int], None
-                fn(1)
-                return
+    one_blas_thread()
+    limit_cpus(cpu_share)
 
 
 def _run_seed(parsed: dict, seed: int, out: Path) -> dict:
@@ -488,14 +467,15 @@ def run_experiment(parsed: dict, out_dir):
     seeds = parsed["seeds"]
     distinct = list(dict.fromkeys(seeds))
     run_seed = functools.partial(_run_seed, parsed, out=out)
-    workers = min(len(distinct), usable_cpus()) if hasattr(os, "fork") else 1
+    cpus = usable_cpus()
+    workers = min(len(distinct), cpus) if hasattr(os, "fork") else 1
     if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         # map cancels the seeds not yet started once one raises
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_init_worker,
-                                 initargs=(os.getpid(),)) as pool:
+                                 initargs=(os.getpid(), cpus // workers)) as pool:
             metrics = list(pool.map(run_seed, distinct))
     else:
         metrics = [run_seed(seed) for seed in distinct]

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .bayes import clamp_output, log_lr_from_output
+from .cpus import one_blas_thread, usable_cpus
 from .data import LabeledDataset, stratified_split
 from .losses import LossSpec, get_loss
 
@@ -335,28 +336,46 @@ def train(dataset: LabeledDataset, net_cfg: NetworkConfig, train_cfg: TrainingCo
     return scorer
 
 
-# Floats (1 MiB) one block of MC passes may hold per hidden layer.
+# Floats (1 MiB) the blocks of MC passes in flight may hold per hidden layer.
 _MC_BLOCK_FLOATS = 2 ** 17
+# Floats one discard step of a stream cursor draws at most.
+_SKIP_FLOATS = 2 ** 16
 
 
-def _keep_masks(scorer: CalibratedScorer, m: int, n: int,
-                rng: np.random.Generator) -> list:
-    """Boolean keep-masks (m, n, h), one per hidden layer, drawn layer-major.
+def _draw_masks(gens: list, widths: list, b: int, n: int, keep: float) -> list:
+    """Boolean keep-masks (b, n, h) for b passes, layer i's drawn from gens[i].
 
-    Each layer is filled one pass at a time through one reused (n, h) float
-    buffer.  Generator.random fills in C order, so this takes exactly the
-    stream of one rng.random((m, n, h)) per layer.
+    Each pass is filled through one reused (n, h) float buffer.
+    Generator.random fills in C order, so layer i takes exactly the stream
+    of one gens[i].random((b, n, h)).
     """
-    keep = 1.0 - scorer.dropout_rate
     masks = []
-    for w in scorer.weights[:-1]:
-        mask = np.empty((m, n, w.shape[1]), dtype=bool)
-        u = np.empty((n, w.shape[1]))
-        for s in range(m):
-            rng.random(out=u)
+    for gen, h in zip(gens, widths):
+        mask = np.empty((b, n, h), dtype=bool)
+        u = np.empty((n, h))
+        for s in range(b):
+            gen.random(out=u)
             np.less(u, keep, out=mask[s])
         masks.append(mask)
     return masks
+
+
+def _cursor(rng: np.random.Generator, skip: int) -> np.random.Generator:
+    """A new Generator where rng will be after `skip` more float64 draws."""
+    bit_gen = type(rng.bit_generator)(0)  # seeded, so no OS entropy is read
+    bit_gen.state = rng.bit_generator.state
+    gen = np.random.Generator(bit_gen)
+    if isinstance(bit_gen, (np.random.PCG64, np.random.PCG64DXSM)):
+        bit_gen.advance(skip)  # one step per float64 draw
+        return gen
+    # Philox.advance counts other units, MT19937 and SFC64 have no advance:
+    # draw and discard
+    buf = np.empty(min(skip, _SKIP_FLOATS))
+    while skip:
+        k = min(skip, len(buf))
+        gen.random(out=buf[:k])
+        skip -= k
+    return gen
 
 
 def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
@@ -364,16 +383,26 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
     """m stochastic outputs for a batch, shape (m, n).
 
     The random draws are those of one float mask per hidden layer over all
-    m passes, layer after layer, as rng.random((m, n, h)) would make them;
-    they are kept as boolean keep-masks, drawn up front.  Layer 1 does not
-    depend on the pass, so act(x @ W1 + b1) is computed once; the rest of
-    the net runs b passes at a time as one stacked (b, n, h) product, with
-    b = max(1, _MC_BLOCK_FLOATS // (n * widest hidden layer)): a query
-    (n = 1) runs all its passes in one block, a large batch one pass at a
-    time.  Held at once: the boolean masks (m * n * sum(hidden) bytes), the
-    (m, n) output, layer 1's (n, h1) activation, and a few float arrays of
-    one block, each at most max(_MC_BLOCK_FLOATS, n * widest hidden layer)
-    floats.  Every output bit is that of running all m passes at once.
+    m passes, layer after layer, as rng.random((m, n, h)) would make them,
+    kept as boolean keep-masks.  Layer 1 does not depend on the pass, so
+    act(x @ W1 + b1) is computed once; the rest of the net runs in blocks
+    of passes, each one stacked (b, n, h) product on masks drawn just
+    before it.  With b1 = max(1, _MC_BLOCK_FLOATS // (n * widest hidden
+    layer)) >= m, as for a query (n = 1), all passes are one block whose
+    masks come straight from rng, layer after layer.  Otherwise the passes
+    are cut into t = min(usable_cpus(), ceil(m / b1)) contiguous ranges, one
+    a thread (none when t = 1; OpenBLAS is first capped at one thread), in
+    blocks of b = max(1, _MC_BLOCK_FLOATS // (t * n * widest)), so all
+    threads together hold at most one block.  Each range draws each layer's
+    masks from its own stream cursor, a Generator on a copy of rng's state
+    moved forward to where that layer's masks for the range's first pass
+    start; rng itself is moved to the end of the stream (its buffered
+    32-bit half kept) once every block has finished.  Held at once: the
+    (m, n) output, layer 1's (n, h1) activation, and per range one block's
+    boolean masks, an (n, h) draw buffer a layer and a few float arrays,
+    the blocks of all ranges together at most max(_MC_BLOCK_FLOATS,
+    t * n * widest) floats each.  Every output bit, and rng's end state,
+    is that of running all m passes at once, whatever the CPU count.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     scorer._check_input(x)
@@ -381,13 +410,42 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
     if scorer.dropout_rate == 0.0:
         return scorer._bounded(np.broadcast_to(scorer._hidden_pass(x), (m, n)))
     first = scorer._act(x @ scorer.weights[0] + scorer.biases[0])
-    masks = _keep_masks(scorer, m, n, rng)
-    b = max(1, _MC_BLOCK_FLOATS // (n * max(w.shape[1] for w in scorer.weights[:-1])))
+    keep = 1.0 - scorer.dropout_rate
+    widths = [w.shape[1] for w in scorer.weights[:-1]]
+    per_pass = n * max(widths)
+    b = max(1, _MC_BLOCK_FLOATS // per_pass)
+    if b >= m:
+        masks = _draw_masks([rng] * len(widths), widths, m, n, keep)
+        return scorer._bounded(scorer._hidden_pass(x, first=first, masks=masks))
+    t = min(usable_cpus(), -(-m // b))
+    b = max(1, _MC_BLOCK_FLOATS // (t * per_pass))
+    bounds = [m * j // t for j in range(t + 1)]
+    layer_starts = [m * n * sum(widths[:i]) for i in range(len(widths))]
+    cursors = [[_cursor(rng, start + s * n * h) for start, h in zip(layer_starts, widths)]
+               for s in bounds[:-1]]
     z = np.empty((m, n))
-    # each block stays a stacked (b, n, h) product: a 2-D (b * n, h)
-    # product lets BLAS pick other kernels and changes the last bits
-    for s in range(0, m, b):
-        z[s:s + b] = scorer._hidden_pass(x, first=first, masks=[k[s:s + b] for k in masks])
+
+    def run_range(j):
+        # each block stays a stacked (b, n, h) product: a 2-D (b * n, h)
+        # product lets BLAS pick other kernels and changes the last bits
+        for s in range(bounds[j], bounds[j + 1], b):
+            e = min(s + b, bounds[j + 1])
+            masks = _draw_masks(cursors[j], widths, e - s, n, keep)
+            z[s:e] = scorer._hidden_pass(x, first=first, masks=masks)
+
+    if t == 1:
+        run_range(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        one_blas_thread()
+        with ThreadPoolExecutor(t) as pool:
+            list(pool.map(run_range, range(t)))
+    state = rng.bit_generator.state
+    end = cursors[-1][-1].bit_generator.state  # the last mask's last draw
+    for key in ("has_uint32", "uinteger"):
+        if key in state:
+            end[key] = state[key]
+    rng.bit_generator.state = end
     return scorer._bounded(z)
 
 

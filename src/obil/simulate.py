@@ -167,27 +167,31 @@ def run_regret_experiment(scenario: StreamScenario, adapter_cfg: AdapterConfig,
     the scenario's analytic ratio.  A false alarm costs qc and a miss costs
     1, the structure whose Bayes cut is oracle_threshold.  Cumulative regret
     accumulates expected (posterior-averaged) losses; realized losses are
-    recorded alongside.  Draws, ratios and adapter steps run per step in
-    stream order; the oracle and the losses are then computed over the whole
-    stream at once.  Returns (RegretLedger, adapter trace).
+    recorded alongside.  The stream is drawn per step; the analytic ratio is
+    then scored once over the whole stream (a log_lr_source is called once a
+    row), and the adapter steps through it in stream order.  The oracle and
+    the losses are computed over the whole stream at once.  Returns
+    (RegretLedger, adapter trace).
     """
-    if log_lr_source is None:
-        log_lr_source = scenario.problem.log_lr
     state = init(adapter_cfg)
     T = scenario.horizon
-    xs, trace = [], []
+    xs = []
     ys = np.zeros(T, dtype=int)
     p1s = np.zeros(T)
-    preds = np.zeros(T, dtype=int)
     for i in range(T):
         x, ys[i], p1s[i] = sample_step(scenario, i, rng)
         xs.append(x)
-        preds[i], record = step(state, float(log_lr_source(x)))
-        trace.append(record)
     x = np.array(xs)
+    true_log_lr = scenario.problem.log_lr(x)
+    log_lrs = true_log_lr if log_lr_source is None else [log_lr_source(row) for row in xs]
+    trace = []
+    preds = np.zeros(T, dtype=int)
+    for i in range(T):
+        preds[i], record = step(state, float(log_lrs[i]))
+        trace.append(record)
     qc = adapter_cfg.qc
-    pred_star = oracle_decision(scenario.problem.log_lr(x), qc, p1s)
-    post = scenario.problem.posterior(x, p1s)
+    pred_star = oracle_decision(true_log_lr, qc, p1s)
+    post = posterior_from_log_lr(true_log_lr, p1s)
     alg_expected = _expected_cost(preds, post, qc)
     oracle_expected = _expected_cost(pred_star, post, qc)
     out = RegretLedger(np.arange(1, T + 1), cost_sensitive_loss(preds, ys, qc),

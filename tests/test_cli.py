@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import json
 import multiprocessing
@@ -11,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obil import experiment
+from obil import experiment, mlp
+from obil.bayes import PRIOR_FLOOR
 from obil.cli import main
 from obil.data import LabeledDataset
 from obil.experiment import (ConfigError, ParseError, _aggregate, ingest_csv,
@@ -212,6 +214,24 @@ class TestCliExitCodes:
                      "--out", str(tmp_path / "out")]) == 3
         assert "stage failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("initial_p1, floored", [(0.0, PRIOR_FLOOR),
+                                                     (1.0, 1.0 - PRIOR_FLOOR)])
+    def test_evaluate_prior_edge_exits_0_floored(self, trained, tmp_path, initial_p1,
+                                                 floored):
+        # without --adaptive the fixed threshold qc * (1 - p1) / p1 takes the
+        # initial prior floored as adapter.init floors it; unfloored, 0
+        # divides by zero and 1 gives threshold 0
+        evaluations = []
+        for p1 in (initial_p1, floored):
+            cfg = write_config(tmp_path, f"p1_{p1}.json",
+                               adapter={"qc": 1.0, "initial_p1": p1})
+            out = tmp_path / f"out_{p1}"
+            assert main(["evaluate", "--config", cfg, "--out", str(out),
+                         "--ensemble", str(trained / "ensemble.bin"),
+                         "--test-csv", str(trained / "data.csv")]) == 0
+            evaluations.append((out / "evaluation.json").read_bytes())
+        assert evaluations[0] == evaluations[1]
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
@@ -408,6 +428,51 @@ class TestSeedPool:
         assert trees[1] == trees[2]
         assert json.loads(trees[2]["report.json"])["seeds"] == [2, 0, 1]
 
+    def test_fusion_threads_write_serial_bytes(self, tmp_path, monkeypatch, fork_calls):
+        # one seed runs in this process; its 600-row stream at hidden width
+        # 64 and 5 passes needs two blocks, so two CPUs run them on two
+        # threads.  The tree must not depend on that
+        pools = {}  # CPU count -> the worker count of each thread pool
+
+        class SpyPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, workers, *args, **kwargs):
+                pools[cpus].append(workers)
+                super().__init__(workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)
+        cfg = write_config(tmp_path, network={"hidden_dims": [64], "dropout_rate": 0.1},
+                           scenario={"kind": "constant", "p1": 0.3, "horizon": 600})
+        trees = {}
+        for cpus in (1, 2):
+            pools[cpus] = []
+            monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus_{cpus}"
+            assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+            trees[cpus] = tree_bytes(out)
+        assert pools[1] == [] and pools[2] and set(pools[2]) == {2}
+        assert fork_calls == []
+        assert trees[1] == trees[2]
+
+    def test_workers_fill_their_cpu_share(self, tmp_path, monkeypatch, fork_calls):
+        # two workers on two CPUs: each runs its MC passes on one thread,
+        # and this process keeps every CPU
+        shares = tmp_path / "shares"
+        real = experiment.run_single_seed
+
+        def recorded(parsed, seed):
+            with open(shares, "a") as fh:
+                fh.write(f"{mlp.usable_cpus()}\n")
+            return real(parsed, seed)
+
+        monkeypatch.setattr(experiment, "run_single_seed", recorded)
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 2)
+        before = mlp.usable_cpus()
+        cfg = write_config(tmp_path, seeds=[0, 1, 2])
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert fork_calls == ["fork"]
+        assert shares.read_text().split() == ["1"] * 3
+        assert mlp.usable_cpus() == before
+
     def test_duplicate_seed_runs_once(self, tmp_path, monkeypatch, fork_calls):
         monkeypatch.setattr(experiment, "usable_cpus", lambda: 2)
         runs = []
@@ -463,7 +528,7 @@ class TestSeedPool:
             "r, w = os.pipe()\n"
             "pid = os.fork()\n"
             "if pid == 0:\n"
-            "    experiment._init_worker(os.getppid())\n"
+            "    experiment._init_worker(os.getppid(), 1)\n"
             "    null = os.open(os.devnull, os.O_WRONLY)\n"
             "    os.dup2(null, 1)\n"
             "    os.dup2(null, 2)\n"

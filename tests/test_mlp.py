@@ -1,8 +1,10 @@
+import concurrent.futures
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from obil import mlp
 from obil.bayes import clamp_output, log_lr_from_output
 from obil.data import DegenerateData, LabeledDataset, stratified_split
 from obil.losses import get_loss
@@ -389,24 +391,28 @@ class TestMcDropout:
                 mc_dropout_outputs(scorer, xs, 5, gen)
         assert gen.bit_generator.state == state
 
-    def test_batch_memory_below_one_float_block(self):
-        # one call holds boolean masks and one block of passes, at most
-        # 2**17 floats a layer or one pass when that is larger (one pass at
-        # n = 4000, 8 passes at n = 250), never a float (m, n, h1) block
-        # over all passes: 30 * n * 64 * 8 bytes, 58.6 MiB at n = 4000
+    def test_batch_memory_below_one_float_block(self, monkeypatch):
+        # one call holds one block of passes and its boolean masks, on one
+        # thread or spread over two: at most 2**17 floats a layer or one
+        # pass a thread when that is larger (one pass at n = 4000; 8 passes
+        # at n = 250 on one thread, 4 on each of two), never a float
+        # (m, n, h1) block over all passes: 30 * n * 64 * 8 bytes, 58.6 MiB
+        # at n = 4000
         cfg = NetworkConfig(input_dim=3, hidden_dims=(64, 32), seed=4, dropout_rate=0.1)
         scorer = init_scorer(cfg, 1.0, "squared")
         m = 30
-        for n in (4000, 250):
-            xs = np.random.default_rng(2).normal(0, 1, (n, 3))
-            tracemalloc.start()
-            try:
-                outs = mc_dropout_outputs(scorer, xs, m, np.random.default_rng(0))
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert outs.shape == (m, n)
-            assert peak < m * n * 64 * 8, (n, peak)
+        for cpus in (1, 2):
+            monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
+            for n in (4000, 250):
+                xs = np.random.default_rng(2).normal(0, 1, (n, 3))
+                tracemalloc.start()
+                try:
+                    outs = mc_dropout_outputs(scorer, xs, m, np.random.default_rng(0))
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert outs.shape == (m, n)
+                assert peak < m * n * 64 * 8, (cpus, n, peak)
 
     def test_batch_variance_nonnegative_and_shaped(self):
         cfg = NetworkConfig(input_dim=2, hidden_dims=(8,), seed=2,
@@ -417,6 +423,133 @@ class TestMcDropout:
                                                np.random.default_rng(1))
         assert var.shape == (9,)
         assert np.all(var >= 0.0)
+
+
+def replay_passes(scorer, x2, m, rng):
+    """Independent replay of mc_dropout_outputs: per layer, the boolean masks
+    of all m passes drawn pass after pass from rng, layer after layer; then
+    each pass alone as 2-D products."""
+    keep = 1.0 - scorer.dropout_rate
+    act = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}[scorer.activation]
+    masks = [np.array([rng.random((len(x2), w.shape[1])) < keep for _ in range(m)])
+             for w in scorer.weights[:-1]]
+    out = []
+    for k in range(m):
+        h = x2
+        for w, b, mask in zip(scorer.weights[:-1], scorer.biases[:-1], masks):
+            h = act(h @ w + b) * (mask[k] / keep)
+        out.append(np.tanh(h @ scorer.weights[-1] + scorer.biases[-1])[:, 0])
+    return np.array(out)
+
+
+@pytest.fixture
+def thread_pools(monkeypatch):
+    """Record the worker count of every thread pool mc_dropout_outputs starts."""
+    pools = []
+
+    class SpyPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, workers, *args, **kwargs):
+            pools.append(workers)
+            super().__init__(workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)
+    return pools
+
+
+class TestMcThreads:
+    # with b1 = max(1, 2**17 // (n * widest layer)) passes a block on one
+    # thread, the m passes run on t = min(usable CPUs, ceil(m / b1)) threads,
+    # or in this thread when t = 1 or b1 >= m
+    def scorer(self, hidden_dims, activation="relu"):
+        cfg = NetworkConfig(input_dim=2, hidden_dims=hidden_dims, seed=9,
+                            activation=activation, dropout_rate=0.3)
+        return init_scorer(cfg, 2.0, "squared")
+
+    def test_split_replay_oracle(self, monkeypatch, thread_pools):
+        # every CPU count gives the oracle's bits and leaves the generator
+        # where the oracle's is: one block (n = 1; n = 250 at (6, 5, 4)),
+        # up to 4 blocks (n = 250 at (64, 32): 2 threads of 4, 4, 4, 3
+        # passes, or 3 of 3, 3, 3, 1) and one pass a block (n >= 2048)
+        m = 30
+        rows = np.random.default_rng(7).normal(0, 1, (4000, 2))
+        for hidden_dims in ((64, 32), (6, 5, 4)):
+            for activation in ("relu", "tanh"):
+                scorer = self.scorer(hidden_dims, activation)
+                for n in (1, 250, 2048, 4000):
+                    want_gen = np.random.default_rng(321)
+                    want = replay_passes(scorer, rows[:n], m, want_gen)
+                    b1 = max(1, 2 ** 17 // (n * max(hidden_dims)))
+                    for cpus in (1, 2, 3):
+                        monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
+                        thread_pools.clear()
+                        gen = np.random.default_rng(321)
+                        got = mc_dropout_outputs(scorer, rows[:n], m, gen)
+                        case = (hidden_dims, activation, n, cpus)
+                        assert got.tobytes() == want.tobytes(), case
+                        assert gen.bit_generator.state == want_gen.bit_generator.state, case
+                        t = min(cpus, -(-m // b1))
+                        assert thread_pools == ([t] if t > 1 else []), case
+
+    def test_keeps_buffered_half_and_other_bit_generators(self, monkeypatch):
+        # a generator holding a buffered 32-bit half keeps it; Philox,
+        # MT19937 and SFC64 cursors skip by drawing, PCG64DXSM by advance
+        scorer = self.scorer((64, 32))
+        xs = np.random.default_rng(3).normal(0, 1, (250, 2))
+        m = 30
+        makers = [lambda: np.random.default_rng(11)]
+        makers += [lambda bg=bg: np.random.Generator(bg(11)) for bg in
+                   (np.random.Philox, np.random.MT19937, np.random.SFC64, np.random.PCG64DXSM)]
+        for make in makers:
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
+                gen, want_gen = make(), make()
+                for g in (gen, want_gen):
+                    g.integers(0, 10, dtype=np.int32)
+                state = gen.bit_generator.state
+                assert state.get("has_uint32", 1) == 1
+                want = replay_passes(scorer, xs, m, want_gen)
+                got = mc_dropout_outputs(scorer, xs, m, gen)
+                case = (state["bit_generator"], cpus)
+                assert got.tobytes() == want.tobytes(), case
+                # Philox and MT19937 states hold arrays
+                np.testing.assert_equal(gen.bit_generator.state,
+                                        want_gen.bit_generator.state, err_msg=str(case))
+
+    def test_threads_share_one_block(self, monkeypatch):
+        # t threads run blocks of max(1, 2**17 // (t * n * widest)) passes,
+        # so together they hold at most one block: at n = 250 and width 64,
+        # 8 passes on one thread, 4 on each of two, 2 on each of three
+        scorer = self.scorer((64, 32))
+        real = scorer._hidden_pass
+        blocks = []
+
+        def recorded(x, masks=None, **kwargs):
+            blocks.append(masks[0].shape[0])
+            return real(x, masks=masks, **kwargs)
+
+        monkeypatch.setattr(scorer, "_hidden_pass", recorded)
+        xs = np.random.default_rng(3).normal(0, 1, (250, 2))
+        for cpus, sizes in ((1, [8, 8, 8, 6]), (2, [4, 4, 4, 3] * 2),
+                            (3, [2, 2, 2, 2, 2] * 3)):
+            monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
+            blocks.clear()
+            mc_dropout_outputs(scorer, xs, 30, np.random.default_rng(0))
+            assert sorted(blocks) == sorted(sizes), cpus
+
+    def test_thread_error_propagates_and_leaves_generator(self, monkeypatch, thread_pools):
+        scorer = self.scorer((64, 32))
+        monkeypatch.setattr(mlp, "usable_cpus", lambda: 2)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("pass failed")
+
+        monkeypatch.setattr(scorer, "_hidden_pass", broken)
+        gen = np.random.default_rng(0)
+        state = gen.bit_generator.state
+        with pytest.raises(RuntimeError, match="pass failed"):
+            mc_dropout_outputs(scorer, np.ones((2048, 2)), 30, gen)
+        assert thread_pools == [2]
+        assert gen.bit_generator.state == state
 
 
 class TestSerialization:

@@ -17,7 +17,8 @@ The commands, each through `obil.cli.main` in this process:
 - a mid-size batch: the raw float64 bytes of `fused_log_lr_batch` on that
   `ensemble.bin` over a 250-row stream of the README scenario, written to
   `batch/fused.bin`.  At 250 rows and hidden widths (64, 32) the MC passes
-  run in blocks of 8, 8, 8 and 6.
+  run in blocks of 8, 8, 8 and 6 on one CPU, or of 4, 4, 4 and 3 on each of
+  two threads.
 
 Each line is `<first 8 hex digits of sha256> <path under the output
 directory>`, sorted by path.  Two checkouts that print the same lines wrote

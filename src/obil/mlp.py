@@ -84,10 +84,10 @@ class CalibratedScorer:
     def logit_space(self) -> bool:
         return get_loss(self.loss_tag).logit_space
 
-    def _act(self, z):
+    def _act(self, z, out=None):
         if self.activation == "relu":
-            return np.maximum(z, 0.0)
-        return np.tanh(z)
+            return np.maximum(z, 0.0, out=out)
+        return np.tanh(z, out=out)
 
     def _act_grad(self, z):
         if self.activation == "relu":
@@ -106,10 +106,13 @@ class CalibratedScorer:
         layer, broadcasting against that layer's activation; this method
         draws no random numbers.  `first` is layer 1's unmasked activation
         act(x @ W1 + b1) when the caller has already computed it; x is then
-        only checked.  Without a record the activations are masked in place:
-        a mask entry is exactly 1/keep or 0, so multiplying by the boolean
-        mask and then by 1/keep gives the same bits as multiplying by the
-        float mask, without holding z or a float mask.  With a record, each
+        only checked.  Without a record, each layer's bias, activation and
+        mask are applied in place on its matmul output, so a layer holds one
+        array, not z, act(z) and their product; large temporaries freed and
+        reallocated every pass are what make the allocator return and
+        re-fault their pages.  A mask entry is exactly 1/keep or 0, so
+        multiplying by the boolean mask and then by 1/keep gives the same
+        bits as multiplying by the float mask.  With a record, each
         layer's input, z and float mask masks[i] / keep (None without
         dropout) are kept for backprop.
         """
@@ -119,16 +122,19 @@ class CalibratedScorer:
         for i in range(len(self.weights) - 1):
             if i == 0 and first is not None:
                 z, a = None, first
-            else:
+            elif record is not None:
                 z = h @ self.weights[i] + self.biases[i]
                 a = self._act(z)
+            else:
+                z, a = None, h @ self.weights[i]
+                a += self.biases[i]
+                self._act(a, out=a)
             mask = None
             if masks is not None:
                 if record is not None:
                     mask = masks[i] / keep
                     a = a * mask
                 else:
-                    del z
                     if a is first:
                         a = a * masks[i]
                     else:
@@ -338,25 +344,28 @@ def train(dataset: LabeledDataset, net_cfg: NetworkConfig, train_cfg: TrainingCo
 
 # Floats (1 MiB) the blocks of MC passes in flight may hold per hidden layer.
 _MC_BLOCK_FLOATS = 2 ** 17
-# Floats one discard step of a stream cursor draws at most.
-_SKIP_FLOATS = 2 ** 16
+# Floats one draw call fills at most.
+_DRAW_FLOATS = 2 ** 16
 
 
 def _draw_masks(gens: list, widths: list, b: int, n: int, keep: float) -> list:
     """Boolean keep-masks (b, n, h) for b passes, layer i's drawn from gens[i].
 
-    Each pass is filled through one reused (n, h) float buffer.
-    Generator.random fills in C order, so layer i takes exactly the stream
-    of one gens[i].random((b, n, h)).
+    Each mask is filled in C order, slab by slab, through one float slab
+    of at most _DRAW_FLOATS (2**16) floats that every layer reuses: one
+    gens[i].random(out=...) call and one compare a slab.  So a layer of at
+    most 2**16 entries takes one draw call, and the float scratch does not
+    grow with n.  Generator.random fills in C order too, so layer i takes
+    exactly the stream of one gens[i].random((b, n, h)).
     """
-    masks = []
-    for gen, h in zip(gens, widths):
-        mask = np.empty((b, n, h), dtype=bool)
-        u = np.empty((n, h))
-        for s in range(b):
-            gen.random(out=u)
-            np.less(u, keep, out=mask[s])
-        masks.append(mask)
+    masks = [np.empty((b, n, h), dtype=bool) for h in widths]
+    u = np.empty(min(max(mask.size for mask in masks), _DRAW_FLOATS))
+    for gen, mask in zip(gens, masks):
+        flat = mask.reshape(-1)
+        for s in range(0, flat.size, _DRAW_FLOATS):
+            slab = u[:min(flat.size - s, _DRAW_FLOATS)]
+            gen.random(out=slab)
+            np.less(slab, keep, out=flat[s:s + len(slab)])
     return masks
 
 
@@ -370,7 +379,7 @@ def _cursor(rng: np.random.Generator, skip: int) -> np.random.Generator:
         return gen
     # Philox.advance counts other units, MT19937 and SFC64 have no advance:
     # draw and discard
-    buf = np.empty(min(skip, _SKIP_FLOATS))
+    buf = np.empty(min(skip, _DRAW_FLOATS))
     while skip:
         k = min(skip, len(buf))
         gen.random(out=buf[:k])
@@ -389,7 +398,8 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
     of passes, each one stacked (b, n, h) product on masks drawn just
     before it.  With b1 = max(1, _MC_BLOCK_FLOATS // (n * widest hidden
     layer)) >= m, as for a query (n = 1), all passes are one block whose
-    masks come straight from rng, layer after layer.  Otherwise the passes
+    masks come straight from rng, layer after layer, in one draw call a
+    layer while m * n * h <= _DRAW_FLOATS.  Otherwise the passes
     are cut into t = min(usable_cpus(), ceil(m / b1)) contiguous ranges, one
     a thread (none when t = 1; OpenBLAS is first capped at one thread), in
     blocks of b = max(1, _MC_BLOCK_FLOATS // (t * n * widest)), so all
@@ -399,15 +409,17 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
     start; rng itself is moved to the end of the stream (its buffered
     32-bit half kept) once every block has finished.  Held at once: the
     (m, n) output, layer 1's (n, h1) activation, and per range one block's
-    boolean masks, an (n, h) draw buffer a layer and a few float arrays,
-    the blocks of all ranges together at most max(_MC_BLOCK_FLOATS,
-    t * n * widest) floats each.  Every output bit, and rng's end state,
-    is that of running all m passes at once, whatever the CPU count.
+    boolean masks, one float slab of at most _DRAW_FLOATS floats and a few
+    float arrays, the blocks of all ranges together at most
+    max(_MC_BLOCK_FLOATS, t * n * widest) floats each.  Every output bit,
+    and rng's end state, is that of running all m passes at once, whatever
+    the CPU count.  An empty batch (n = 0) returns an (m, 0) array and
+    draws nothing.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     scorer._check_input(x)
     n = x.shape[0]
-    if scorer.dropout_rate == 0.0:
+    if scorer.dropout_rate == 0.0 or n == 0:  # nothing to draw
         return scorer._bounded(np.broadcast_to(scorer._hidden_pass(x), (m, n)))
     first = scorer._act(x @ scorer.weights[0] + scorer.biases[0])
     keep = 1.0 - scorer.dropout_rate

@@ -166,6 +166,20 @@ class TestFusedLogLr:
                 ens.fused_log_lr(x, gen)
         assert gen.bit_generator.state == state
 
+    def test_empty_batch_draws_nothing(self):
+        # a (0, d) batch gives a (0,) result with dropout on or off, and
+        # leaves the generator where it was
+        for dropout in (0.0, 0.3):
+            members = [init_scorer(NetworkConfig(input_dim=2, hidden_dims=(6, 4),
+                                                 dropout_rate=dropout, seed=s), 1.0, "squared")
+                       for s in (0, 1)]
+            ens = LikelihoodRatioEnsemble(members, EnsembleConfig(target_qps=(1.0, 1.0)))
+            gen = np.random.default_rng(0)
+            state = gen.bit_generator.state
+            fused = ens.fused_log_lr_batch(np.ones((0, 2)), gen)
+            assert fused.shape == (0,), dropout
+            assert gen.bit_generator.state == state, dropout
+
     def test_batch_agrees_with_scalar_for_zero_dropout(self):
         members = [constant_scorer(0.2, 1.0), constant_scorer(-0.4, 2.0)]
         ens = LikelihoodRatioEnsemble(members, EnsembleConfig(

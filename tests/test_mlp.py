@@ -414,6 +414,64 @@ class TestMcDropout:
                 assert outs.shape == (m, n)
                 assert peak < m * n * 64 * 8, (cpus, n, peak)
 
+    def test_empty_batch_draws_nothing(self):
+        # a (0, d) batch gives (m, 0) outputs and (0,) variances with
+        # dropout on or off, and leaves the generator where it was
+        for dropout in (0.0, 0.2):
+            cfg = NetworkConfig(input_dim=2, hidden_dims=(6, 4), dropout_rate=dropout)
+            scorer = init_scorer(cfg, 1.0, "squared")
+            gen = np.random.default_rng(0)
+            state = gen.bit_generator.state
+            assert mc_dropout_outputs(scorer, np.ones((0, 2)), 5, gen).shape == (5, 0)
+            var = mc_dropout_log_lr_variance_batch(scorer, np.ones((0, 2)), 5, gen)
+            assert var.shape == (0,), dropout
+            assert gen.bit_generator.state == state, dropout
+
+    def test_query_draws_once_a_layer(self):
+        # a one-row query runs its m passes as one block, and each hidden
+        # layer's masks for all of them take one draw call
+        class CountingGenerator:
+            def __init__(self, gen):
+                self.gen, self.calls = gen, 0
+
+            def random(self, *args, **kwargs):
+                self.calls += 1
+                return self.gen.random(*args, **kwargs)
+
+        cfg = NetworkConfig(input_dim=2, hidden_dims=(64, 32), seed=3, dropout_rate=0.1)
+        scorer = init_scorer(cfg, 1.0, "squared")
+        x = np.array([[0.4, -1.2]])
+        gen = CountingGenerator(np.random.default_rng(5))
+        got = mc_dropout_outputs(scorer, x, 30, gen)
+        assert gen.calls == 2
+        want_gen = np.random.default_rng(5)
+        assert got.tobytes() == replay_passes(scorer, x, 30, want_gen).tobytes()
+        assert gen.gen.bit_generator.state == want_gen.bit_generator.state
+
+    def test_pass_holds_one_array_a_layer(self):
+        # without a record, a masked pass applies bias, activation and mask
+        # in place: at n = 10 000 and hidden (64, 32) it holds one (n, 64)
+        # and one (n, 32) float array besides two (n,) outputs, not z,
+        # act(z) and their product (10.2 MB), and gives the bits of the
+        # recorded path
+        n = 10_000
+        for activation in ("relu", "tanh"):
+            cfg = NetworkConfig(input_dim=4, hidden_dims=(64, 32), seed=2,
+                                activation=activation, dropout_rate=0.1)
+            scorer = init_scorer(cfg, 1.0, "squared")
+            xs = np.random.default_rng(1).normal(0, 1, (n, 4))
+            masks = mlp._draw_masks([np.random.default_rng(0)] * 2, [64, 32], 1, n, 0.9)
+            first = scorer._act(xs @ scorer.weights[0] + scorer.biases[0])
+            tracemalloc.start()
+            try:
+                z = scorer._hidden_pass(xs, masks=masks, first=first)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < n * (64 + 32 + 2) * 8 + 16_384, (activation, peak)
+            want = scorer._hidden_pass(xs, masks=masks, record=[])
+            assert z.tobytes() == want.tobytes(), activation
+
     def test_batch_variance_nonnegative_and_shaped(self):
         cfg = NetworkConfig(input_dim=2, hidden_dims=(8,), seed=2,
                             dropout_rate=0.2)
@@ -550,6 +608,46 @@ class TestMcThreads:
             mc_dropout_outputs(scorer, np.ones((2048, 2)), 30, gen)
         assert thread_pools == [2]
         assert gen.bit_generator.state == state
+
+
+class TestDrawMasks:
+    # _draw_masks fills each layer's boolean (b, n, h) mask in slabs of at
+    # most 2**16 floats
+    BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+                      np.random.MT19937, np.random.SFC64)
+
+    def test_slab_boundaries_keep_the_stream(self):
+        # b * n * h just below, at and just above one slab, and just above
+        # two: the masks are those of one random((b, n, h)) call a layer,
+        # bit for bit, and the generator ends where that call leaves it;
+        # a narrower second layer reuses the first one's slab
+        keep = 0.7
+        shapes = [(3, 5, 4369), (4, 256, 64), (1, 65537, 1), (3, 1, 43691)]
+        for bit_gen in self.BIT_GENERATORS:
+            for b, n, h in shapes:
+                gen, want_gen = np.random.Generator(bit_gen(17)), np.random.Generator(bit_gen(17))
+                got = mlp._draw_masks([gen, gen], [h, 7], b, n, keep)
+                want = [want_gen.random((b, n, w)) < keep for w in (h, 7)]
+                case = (bit_gen.__name__, b * n * h)
+                assert [g.shape for g in got] == [(b, n, h), (b, n, 7)], case
+                assert all(np.array_equal(g, w) for g, w in zip(got, want)), case
+                np.testing.assert_equal(gen.bit_generator.state,
+                                        want_gen.bit_generator.state, err_msg=str(case))
+
+    def test_float_scratch_does_not_grow_with_n(self):
+        # one drift_long-sized layer-1 pass (n = 10 000, h = 64) holds its
+        # boolean mask and one slab of 2**16 floats, not an (n, h) float
+        # buffer of 5.1 MB
+        n, h = 10_000, 64
+        gen = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            masks = mlp._draw_masks([gen], [h], 1, n, 0.9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert masks[0].shape == (1, n, h)
+        assert peak < n * h + 2 ** 16 * 8 + 16_384, peak
 
 
 class TestSerialization:

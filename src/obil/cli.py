@@ -27,7 +27,7 @@ from .experiment import (DEFAULT_SPLIT, ConfigError, ParseError, check_seeds,
 from .losses import REGISTRY as LOSS_REGISTRY
 from .metrics import ece_from_posteriors
 from .mlp import NetworkConfig, train
-from .simulate import StreamScenario, run_regret_experiment
+from .simulate import StreamScenario, oracle_decision, run_regret_experiment
 
 ECE_GATE = 0.05
 
@@ -134,8 +134,7 @@ def cmd_regret(args):
     seed = parsed["seeds"][0]
     if parsed["problem"] is None:
         raise ConfigError("regret requires gaussian data configuration")
-    scenario = StreamScenario(parsed["problem"], parsed["trajectory"],
-                              parsed["horizon"], seed=seed)
+    scenario = StreamScenario(parsed["problem"], parsed["trajectory"], parsed["horizon"])
     ledger, _ = run_regret_experiment(scenario, parsed["adapter"],
                                       np.random.default_rng(seed))
     out = _out_dir(args)
@@ -165,8 +164,7 @@ def cmd_evaluate(args):
         p1s = np.array([r.p1_hat_after for r in trace])
     else:
         p1 = init(adapter_cfg).p1_hat  # the initial prior, floored as the adapter floors it
-        threshold = adapter_cfg.qc * (1.0 - p1) / p1
-        preds = (np.exp(fused) > threshold).astype(int)
+        preds = oracle_decision(fused, adapter_cfg.qc, p1)
         p1s = np.full(len(test), p1)
     post = posterior_from_log_lr(fused, p1s)
     metrics = evaluate_predictions(preds, test.labels, fused, post)

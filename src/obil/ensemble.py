@@ -1,6 +1,7 @@
 """Likelihood-ratio ensemble: members trained on rebalanced datasets at
 distinct imbalance ratios, fused per query by uncertainty-weighted geometric
-averaging in log space.
+averaging in log space.  One mlp.mc_dropout_log_lr call a member gives its
+log-LR and MC-dropout variance.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .data import LabeledDataset, stratified_split
 from .mlp import (NetworkConfig, ShapeError, TrainingConfig, load_scorer_bytes,
-                  mc_dropout_log_lr_variance_batch, save_scorer_bytes, train)
+                  mc_dropout_log_lr, save_scorer_bytes, train)
 from .resampling import RESAMPLE_METHODS, AssociatedProblemSpec, make_associated
 
 MAGIC_ENSEMBLE = b"OBIL-ENS-v1"
@@ -63,12 +64,13 @@ class LikelihoodRatioEnsemble:
     def member_log_lr(self, k: int, x):
         return self.members[k].log_lr(x)
 
-    def member_variances(self, x, rng: np.random.Generator):
-        """MC-dropout log-LR variances, shape (K, n) for a batch x of n rows."""
-        return np.stack([
-            mc_dropout_log_lr_variance_batch(m, x, self.config.mc_samples, rng)
-            for m in self.members
-        ])
+    def member_log_lrs(self, x, rng: np.random.Generator):
+        """Log-LRs and MC-dropout variances, two (K, n) arrays for n rows:
+        one mc_dropout_log_lr call a member, members in order.
+        """
+        per_member = [mc_dropout_log_lr(m, x, self.config.mc_samples, rng)
+                      for m in self.members]
+        return tuple(np.stack(a) for a in zip(*per_member))
 
     def _variance_weights(self, var):
         """Softmax of -var / tau over the member axis (axis 0)."""
@@ -79,18 +81,12 @@ class LikelihoodRatioEnsemble:
 
     def fusion_weights(self, x, rng: np.random.Generator):
         """Softmax of negative MC-dropout variances, temperature tau."""
-        return self._variance_weights(self.member_variances(x, rng))
+        return self._variance_weights(self.member_log_lrs(x, rng)[1])
 
     def _fused(self, x, rng: np.random.Generator) -> np.ndarray:
-        """Weighted geometric mean of member ratios, in log space, per row.
-
-        Each member runs its m MC passes over the whole batch, its masks
-        drawn layer by layer (mlp.mc_dropout_outputs), members in order.
-        """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        w = self._variance_weights(self.member_variances(x, rng))  # (K, n)
-        logs = np.stack([m.log_lr(x) for m in self.members])
-        return np.sum(w * logs, axis=0)
+        """Weighted geometric mean of member ratios, in log space, per row."""
+        logs, var = self.member_log_lrs(np.atleast_2d(np.asarray(x, dtype=float)), rng)
+        return np.sum(self._variance_weights(var) * logs, axis=0)
 
     def fused_log_lr(self, x, rng: np.random.Generator) -> float:
         """Fused log-LR of one feature vector, shape (d,) or (1, d)."""

@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .adapter import AdapterConfig, run_log_lr_stream
 from .baselines import bbse_estimate_prior, logit_adjust, threshold_moving_fit
-from .bayes import clamp_output, posterior_from_log_lr
+from .bayes import clamp_output, log_lr_from_output, posterior_from_log_lr
 from .cpus import limit_cpus, one_blas_thread, usable_cpus
 from .data import LabeledDataset, stratified_split
 from .ensemble import EnsembleConfig, LikelihoodRatioEnsemble, train_ensemble
@@ -26,7 +26,7 @@ from .metrics import (ConfusionCounts, auprc, ece_from_posteriors, f1,
                       fit_temperature, g_mean)
 from .mlp import NetworkConfig, TrainingConfig, train
 from .simulate import (GaussianProblem, PriorTrajectory, StreamScenario,
-                       run_regret_experiment)
+                       oracle_decision, run_regret_experiment)
 
 DEFAULT_SPLIT = (0.70, 0.15, 0.15)  # train / calibration / test
 _PR_SET_PDEATHSIG = 1  # prctl option, from <linux/prctl.h>
@@ -267,10 +267,6 @@ def scorer_posteriors(scorer, x):
     return (o + 1.0) / 2.0
 
 
-def scorer_log_lrs(scorer, x):
-    return np.atleast_1d(scorer.log_lr(x))
-
-
 def evaluate_predictions(preds, labels, scores, posteriors):
     counts = ConfusionCounts.from_predictions(preds, labels)
     return {
@@ -308,18 +304,21 @@ def evaluate_on_stream(ensemble: LikelihoodRatioEnsemble, vanilla_scorer,
     results["obil"] = evaluate_predictions(preds, labels, fused, post)
 
     if vanilla_scorer is not None:
-        log_lrs = scorer_log_lrs(vanilla_scorer, feats)
-        vpost = scorer_posteriors(vanilla_scorer, feats)
-        fixed_q = qc * vanilla_scorer.training_qp
+        # one forward pass over the stream gives both the ratio and the posterior
+        o = clamp_output(np.atleast_1d(vanilla_scorer.forward(feats)))
+        log_lrs = log_lr_from_output(o, vanilla_scorer.training_qp)
+        vpost = (o + 1.0) / 2.0
+        uses_cal = [b for b in parsed["baselines"] if b in ("threshold_moving", "bbse")]
+        if uses_cal:
+            if calibration is None:
+                raise ConfigError(f"{uses_cal[0]} needs a calibration split")
+            cal_post = scorer_posteriors(vanilla_scorer, calibration.features)
         for name in parsed["baselines"]:
             if name == "vanilla":
-                p = (np.exp(log_lrs) > fixed_q).astype(int)
+                p = (np.exp(log_lrs) > qc * vanilla_scorer.training_qp).astype(int)
                 results["vanilla"] = evaluate_predictions(p, labels, log_lrs, vpost)
             elif name == "threshold_moving":
-                if calibration is None:
-                    raise ConfigError("threshold_moving needs a calibration split")
-                cal_scores = scorer_posteriors(vanilla_scorer, calibration.features)
-                thr, _ = threshold_moving_fit(cal_scores, calibration.labels)
+                thr, _ = threshold_moving_fit(cal_post, calibration.labels)
                 p = (vpost > thr).astype(int)
                 results["threshold_moving"] = evaluate_predictions(p, labels, log_lrs, vpost)
             elif name in ("logit_adjustment", "logit_adjustment_oracle"):
@@ -331,9 +330,6 @@ def evaluate_on_stream(ensemble: LikelihoodRatioEnsemble, vanilla_scorer,
                 p = (zadj > 0).astype(int)
                 results[name] = evaluate_predictions(p, labels, log_lrs, vpost)
             elif name == "bbse":
-                if calibration is None:
-                    raise ConfigError("bbse needs a calibration split")
-                cal_post = scorer_posteriors(vanilla_scorer, calibration.features)
                 cal_pred = (cal_post > 0.5).astype(int)
                 cy = calibration.labels
                 conf = np.zeros((2, 2))
@@ -346,8 +342,7 @@ def evaluate_on_stream(ensemble: LikelihoodRatioEnsemble, vanilla_scorer,
                 target_pred = (vpost > 0.5).astype(int)
                 mu = np.array([1.0 - target_pred.mean(), target_pred.mean()])
                 _, p1_hat = bbse_estimate_prior(conf, mu)
-                thr = qc * (1.0 - p1_hat) / p1_hat
-                p = (np.exp(log_lrs) > thr).astype(int)
+                p = oracle_decision(log_lrs, qc, p1_hat)
                 results["bbse"] = evaluate_predictions(p, labels, log_lrs, vpost)
     return results, trace
 
@@ -391,7 +386,7 @@ def run_single_seed(parsed: dict, seed: int):
     results, trace = evaluate_on_stream(ensemble, vanilla, feats, labels,
                                         parsed, rng, calibration=cal_part)
 
-    scenario = StreamScenario(problem, parsed["trajectory"], parsed["horizon"], seed=seed)
+    scenario = StreamScenario(problem, parsed["trajectory"], parsed["horizon"])
     ledger, _ = run_regret_experiment(scenario, parsed["adapter"],
                                       np.random.default_rng(seed + 1))
     return {"metrics": results, "trace": trace, "regret": ledger}

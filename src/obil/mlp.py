@@ -3,7 +3,8 @@
 The scorer maps features to a scalar output in (-1, 1): a tanh of the final
 pre-activation for losses defined on the bounded output, or tanh(z / 2T) for
 the sigmoid cross-entropy path so that the implied posterior is sigma(z / T).
-Training is deterministic given the configured seed.
+Training is deterministic given the configured seed.  mc_dropout_log_lr gives
+a batch's log-LR and its MC-dropout variance from one forward call.
 """
 
 from __future__ import annotations
@@ -388,39 +389,40 @@ def _cursor(rng: np.random.Generator, skip: int) -> np.random.Generator:
 
 
 def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """m stochastic outputs for a batch, shape (m, n).
+                       rng: np.random.Generator) -> tuple:
+    """The plain output and m stochastic outputs for a batch: (n,) and (m, n).
 
-    The random draws are those of one float mask per hidden layer over all
-    m passes, layer after layer, as rng.random((m, n, h)) would make them,
-    kept as boolean keep-masks.  Layer 1 does not depend on the pass, so
-    act(x @ W1 + b1) is computed once; the rest of the net runs in blocks
-    of passes, each one stacked (b, n, h) product on masks drawn just
+    act(x @ W1 + b1) does not depend on the pass, so it is computed once;
+    the passes, then the plain output (no dropout: scorer.forward's bits
+    for a 2-D x), run on from it.  The draws are those of one float mask
+    per hidden layer over all m passes, layer after layer, as
+    rng.random((m, n, h)) would make them, kept as boolean keep-masks; each
+    block of passes is one stacked (b, n, h) product on masks drawn just
     before it.  With b1 = max(1, _MC_BLOCK_FLOATS // (n * widest hidden
     layer)) >= m, as for a query (n = 1), all passes are one block whose
-    masks come straight from rng, layer after layer, in one draw call a
-    layer while m * n * h <= _DRAW_FLOATS.  Otherwise the passes
-    are cut into t = min(usable_cpus(), ceil(m / b1)) contiguous ranges, one
-    a thread (none when t = 1; OpenBLAS is first capped at one thread), in
-    blocks of b = max(1, _MC_BLOCK_FLOATS // (t * n * widest)), so all
-    threads together hold at most one block.  Each range draws each layer's
-    masks from its own stream cursor, a Generator on a copy of rng's state
-    moved forward to where that layer's masks for the range's first pass
-    start; rng itself is moved to the end of the stream (its buffered
-    32-bit half kept) once every block has finished.  Held at once: the
-    (m, n) output, layer 1's (n, h1) activation, and per range one block's
-    boolean masks, one float slab of at most _DRAW_FLOATS floats and a few
-    float arrays, the blocks of all ranges together at most
-    max(_MC_BLOCK_FLOATS, t * n * widest) floats each.  Every output bit,
-    and rng's end state, is that of running all m passes at once, whatever
-    the CPU count.  An empty batch (n = 0) returns an (m, 0) array and
-    draws nothing.
+    masks come straight from rng, one draw call a layer while
+    m * n * h <= _DRAW_FLOATS.  Otherwise the passes are cut into
+    t = min(usable_cpus(), ceil(m / b1)) contiguous ranges, one a thread
+    (none when t = 1; OpenBLAS is first capped at one thread), in blocks of
+    b = max(1, _MC_BLOCK_FLOATS // (t * n * widest)), so all threads
+    together hold at most one block.  Each range draws each layer's masks
+    from its own stream cursor, a Generator on a copy of rng's state moved
+    to where that layer's masks for the range's first pass start; rng is
+    moved to the end of the stream (its buffered 32-bit half kept) once
+    every block has finished.  Held at once: the outputs, layer 1's
+    activation and, per range, one block's boolean masks, one float slab of
+    at most _DRAW_FLOATS floats and a few float arrays, the blocks of all
+    ranges together at most max(_MC_BLOCK_FLOATS, t * n * widest) floats
+    each.  Every output bit, and rng's end state, is that of running all m
+    passes at once, whatever the CPU count.  Without dropout or rows
+    (n = 0) nothing is drawn: the passes are a read-only broadcast of plain.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     scorer._check_input(x)
     n = x.shape[0]
     if scorer.dropout_rate == 0.0 or n == 0:  # nothing to draw
-        return scorer._bounded(np.broadcast_to(scorer._hidden_pass(x), (m, n)))
+        plain = scorer._bounded(scorer._hidden_pass(x))
+        return plain, np.broadcast_to(plain, (m, n))
     first = scorer._act(x @ scorer.weights[0] + scorer.biases[0])
     keep = 1.0 - scorer.dropout_rate
     widths = [w.shape[1] for w in scorer.weights[:-1]]
@@ -428,7 +430,8 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
     b = max(1, _MC_BLOCK_FLOATS // per_pass)
     if b >= m:
         masks = _draw_masks([rng] * len(widths), widths, m, n, keep)
-        return scorer._bounded(scorer._hidden_pass(x, first=first, masks=masks))
+        z = scorer._hidden_pass(x, first=first, masks=masks)
+        return scorer._bounded(scorer._hidden_pass(x, first=first)), scorer._bounded(z)
     t = min(usable_cpus(), -(-m // b))
     b = max(1, _MC_BLOCK_FLOATS // (t * per_pass))
     bounds = [m * j // t for j in range(t + 1)]
@@ -458,27 +461,33 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
         if key in state:
             end[key] = state[key]
     rng.bit_generator.state = end
-    return scorer._bounded(z)
+    return scorer._bounded(scorer._hidden_pass(x, first=first)), scorer._bounded(z)
 
 
-def mc_dropout_log_lr_variance_batch(scorer: CalibratedScorer, x, m: int,
-                                     rng: np.random.Generator) -> np.ndarray:
-    """Per-input MC-dropout variance (1/m normalization) of the log-LR, shape (n,)."""
+def mc_dropout_log_lr(scorer: CalibratedScorer, x, m: int,
+                      rng: np.random.Generator) -> tuple:
+    """A batch's log-LR (scorer.log_lr's bits) and the 1/m-normalized
+    variance of its m MC passes' log-LRs (exactly 0 without dropout), each
+    (n,), from one mc_dropout_outputs call.
+    """
     if m < 2:
         raise ValueError("need at least two passes")
-    x = np.asarray(x, dtype=float)
-    n = 1 if x.ndim == 1 else x.shape[0]
+    plain, passes = mc_dropout_outputs(scorer, x, m, rng)
+    log_lr = log_lr_from_output(clamp_output(plain), scorer.training_qp)
     if scorer.dropout_rate == 0.0:
-        return np.zeros(n)
-    outs = clamp_output(mc_dropout_outputs(scorer, x, m, rng))
-    logs = log_lr_from_output(outs, scorer.training_qp)
-    return np.mean((logs - logs.mean(axis=0)) ** 2, axis=0)
+        return log_lr, np.zeros(len(log_lr))
+    logs = log_lr_from_output(clamp_output(passes), scorer.training_qp)
+    logs -= np.add.reduce(logs, axis=0) / m
+    logs *= logs
+    return log_lr, np.add.reduce(logs, axis=0) / m
 
 
 def mc_dropout_log_lr_variance(scorer: CalibratedScorer, x, m: int,
                                rng: np.random.Generator) -> float:
-    """Single-vector form of mc_dropout_log_lr_variance_batch."""
-    return float(mc_dropout_log_lr_variance_batch(scorer, x, m, rng)[0])
+    """mc_dropout_log_lr's variance for one vector.  obil does not call it;
+    it is kept because perfbench/tracing.py looks it up by name.
+    """
+    return float(mc_dropout_log_lr(scorer, x, m, rng)[1][0])
 
 
 def gradient_check(scorer: CalibratedScorer, x, labels, loss_name: str,

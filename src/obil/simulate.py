@@ -110,7 +110,6 @@ class StreamScenario:
     problem: GaussianProblem
     trajectory: PriorTrajectory
     horizon: int
-    seed: int = 0
 
     def __post_init__(self):
         if self.horizon < 1:

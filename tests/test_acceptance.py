@@ -243,7 +243,7 @@ def test_criterion_10_sublinear_regret():
     T = 2000
     curves = []
     for seed in range(15):
-        scenario = StreamScenario(problem, traj, horizon=T, seed=seed)
+        scenario = StreamScenario(problem, traj, horizon=T)
         ledger, _ = run_regret_experiment(
             scenario, AdapterConfig(initial_p1=0.2),
             np.random.default_rng(1000 + seed))

@@ -16,6 +16,7 @@ from obil import experiment, mlp
 from obil.bayes import PRIOR_FLOOR
 from obil.cli import main
 from obil.data import LabeledDataset
+from obil.ensemble import EnsembleConfig, LikelihoodRatioEnsemble
 from obil.experiment import (ConfigError, ParseError, _aggregate, ingest_csv,
                              parse_config, write_csv)
 
@@ -359,6 +360,34 @@ class TestPipeline:
         assert (out_a / "data.csv").read_bytes() == (out_b / "data.csv").read_bytes()
 
 
+class TestEvaluateOnStream:
+    def test_vanilla_runs_once_per_split(self, layer1_products):
+        # one vanilla forward over the stream gives the log-LRs and the
+        # posteriors; threshold moving and BBSE share one over the
+        # calibration split
+        net = mlp.NetworkConfig(input_dim=1, hidden_dims=(2,), dropout_rate=0.1)
+        ensemble = LikelihoodRatioEnsemble([mlp.init_scorer(net, 1.0, "squared")],
+                                           EnsembleConfig((1.0,), mc_samples=5))
+        # relu units x+ and x-: tanh(2x) is above 0 exactly when x > 0
+        vanilla = mlp.CalibratedScorer([np.array([[1.0, -1.0]]), np.array([[2.0], [-2.0]])],
+                                       [np.zeros(2), np.zeros(1)], "relu", 0.0, 3.0,
+                                       "squared")
+        rows = layer1_products(vanilla)
+        rng = np.random.default_rng(0)
+        labels = (rng.random(40) < 0.3).astype(int)
+        feats = (2.0 * labels - 1.0 + rng.normal(0, 1, 40))[:, None]
+        cal_labels = np.array([0, 1] * 15)
+        calibration = LabeledDataset((2.0 * cal_labels - 1.0 + rng.normal(0, 1, 30))[:, None],
+                                     cal_labels)
+        parsed = parse_config(base_config(baselines=["vanilla", "threshold_moving",
+                                                     "logit_adjustment", "bbse"]))
+        results, _ = experiment.evaluate_on_stream(ensemble, vanilla, feats, labels, parsed,
+                                                   rng, calibration=calibration)
+        assert set(results) == {"obil", "vanilla", "threshold_moving",
+                                "logit_adjustment", "bbse"}
+        assert rows == [40, 30]
+
+
 class TestRun:
     def test_report_layout_and_determinism(self, tmp_path, capsys):
         cfg = write_config(tmp_path, seeds=[0, 1],
@@ -566,3 +595,21 @@ class TestSeedPool:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
+
+
+class TestDigestsTool:
+    def test_missing_checkout_parts_exit_2(self, tmp_path):
+        # a --root without src/obil, or without perfbench/run.py, ends in one
+        # `error:` line naming the missing path and exit code 2
+        tool = Path(__file__).resolve().parent.parent / "tools" / "digests.py"
+        (tmp_path / "half" / "src" / "obil").mkdir(parents=True)
+        for root, missing in ((tmp_path / "empty", "empty/src/obil"),
+                              (tmp_path / "half", "half/perfbench/run.py")):
+            root.mkdir(exist_ok=True)
+            proc = subprocess.run([sys.executable, str(tool), "--root", str(root)],
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stdout == ""
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert lines[0].endswith(f"{missing}: no such file or directory"), lines

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from obil import mlp
 from obil.data import LabeledDataset
 from obil.ensemble import (EnsembleConfig, LikelihoodRatioEnsemble,
                            derive_member_seed, load_ensemble_bytes,
@@ -15,6 +16,13 @@ def constant_scorer(output, training_qp=1.0, dropout=0.0):
     return CalibratedScorer(weights=[np.zeros((1, 1))], biases=[np.array([z])],
                             activation="relu", dropout_rate=dropout,
                             training_qp=training_qp, loss_tag="squared")
+
+
+def patch_variances(monkeypatch, variances):
+    """member_log_lrs keeps the members' own log-LRs and returns `variances`."""
+    real = LikelihoodRatioEnsemble.member_log_lrs
+    monkeypatch.setattr(LikelihoodRatioEnsemble, "member_log_lrs",
+                        lambda self, x, rng: (real(self, x, rng)[0], variances))
 
 
 def imbalanced_dataset(n0=300, n1=60, seed=0):
@@ -60,18 +68,15 @@ class TestFusionWeights:
         np.testing.assert_allclose(w, 0.25)
 
     def test_softmax_of_negative_variances(self, monkeypatch):
-        variances = np.array([0.0, np.log(4.0)])
-        monkeypatch.setattr(LikelihoodRatioEnsemble, "member_variances",
-                            lambda self, x, rng: variances)
+        patch_variances(monkeypatch, np.array([[0.0], [np.log(4.0)]]))
         ens = LikelihoodRatioEnsemble(
             [constant_scorer(0.0), constant_scorer(0.0)],
             EnsembleConfig(target_qps=(1.0, 1.0), fusion_temperature=1.0))
         w = ens.fusion_weights(np.array([0.0]), np.random.default_rng(0))
-        np.testing.assert_allclose(w, [0.8, 0.2], rtol=1e-12)
+        np.testing.assert_allclose(w, [[0.8], [0.2]], rtol=1e-12)
 
     def test_huge_variance_weight_vanishes(self, monkeypatch):
-        monkeypatch.setattr(LikelihoodRatioEnsemble, "member_variances",
-                            lambda self, x, rng: np.array([0.0, 1e6]))
+        patch_variances(monkeypatch, np.array([[0.0], [1e6]]))
         ens = LikelihoodRatioEnsemble(
             [constant_scorer(0.0), constant_scorer(0.0)],
             EnsembleConfig(target_qps=(1.0, 1.0)))
@@ -111,9 +116,9 @@ class TestFusedLogLr:
             float(ens.member_log_lr(0, x)))
 
     def test_masked_member(self, monkeypatch):
-        # member_variances is (K, n); one query is n = 1
-        monkeypatch.setattr(LikelihoodRatioEnsemble, "member_variances",
-                            lambda self, x, rng: np.array([[0.0], [1e6]]))
+        # the variances are (K, n); one query is n = 1.  Fusion reads the
+        # members' own log-LRs from member_log_lrs
+        patch_variances(monkeypatch, np.array([[0.0], [1e6]]))
         members = [constant_scorer(2.0 / 3.0), constant_scorer(0.9)]  # ratios 5, 19
         ens = LikelihoodRatioEnsemble(members, EnsembleConfig(
             target_qps=(1.0, 1.0)))
@@ -179,6 +184,26 @@ class TestFusedLogLr:
             fused = ens.fused_log_lr_batch(np.ones((0, 2)), gen)
             assert fused.shape == (0,), dropout
             assert gen.bit_generator.state == state, dropout
+
+    def test_one_layer1_product_per_member(self, monkeypatch, layer1_products,
+                                           thread_pools):
+        # a member's log-LR and its MC passes share one x @ W1, on the
+        # threaded batch path (n = 250, hidden (64, 32), two CPUs) and for
+        # one query
+        monkeypatch.setattr(mlp, "usable_cpus", lambda: 2)
+        members = [init_scorer(NetworkConfig(input_dim=2, hidden_dims=(64, 32),
+                                             dropout_rate=0.1, seed=s), qp, "squared")
+                   for s, qp in ((0, 1.0), (1, 2.0))]
+        ens = LikelihoodRatioEnsemble(members, EnsembleConfig(target_qps=(1.0, 2.0)))
+        rows = [layer1_products(m) for m in members]
+        xs = np.random.default_rng(4).normal(0, 1, (250, 2))
+        ens.fused_log_lr_batch(xs, np.random.default_rng(0))
+        assert rows == [[250], [250]]
+        assert thread_pools == [2, 2]
+        for r in rows:
+            r.clear()
+        ens.fused_log_lr(xs[0], np.random.default_rng(1))
+        assert rows == [[1], [1]]
 
     def test_batch_agrees_with_scalar_for_zero_dropout(self):
         members = [constant_scorer(0.2, 1.0), constant_scorer(-0.4, 2.0)]

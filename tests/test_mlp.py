@@ -1,4 +1,3 @@
-import concurrent.futures
 import tracemalloc
 
 import numpy as np
@@ -11,8 +10,8 @@ from obil.losses import get_loss
 from obil.mlp import (CalibratedScorer, NetworkConfig, ShapeError,
                       TrainingConfig, gradient_check, init_scorer,
                       load_scorer_bytes, loss_and_gradients,
-                      mc_dropout_log_lr_variance,
-                      mc_dropout_log_lr_variance_batch, mc_dropout_outputs,
+                      mc_dropout_log_lr, mc_dropout_log_lr_variance,
+                      mc_dropout_outputs,
                       save_scorer_bytes, train)
 
 
@@ -50,8 +49,9 @@ class TestForward:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         for x in (xs, xs[0]):
-            outs = mc_dropout_outputs(scorer, x, 4, rng)
+            plain, outs = mc_dropout_outputs(scorer, x, 4, rng)
             want = np.atleast_1d(scorer.forward(x))
+            assert plain.tobytes() == want.tobytes()
             assert outs.tobytes() == np.broadcast_to(want, (4, want.size)).tobytes()
         assert rng.bit_generator.state == state
 
@@ -288,7 +288,7 @@ class TestMcDropout:
                                                dropout_rate=dropout), 1.0, "squared")
             for m in (0, 1):
                 for fn, x in ((mc_dropout_log_lr_variance, np.array([0.5])),
-                              (mc_dropout_log_lr_variance_batch, np.array([[0.5], [1.0]]))):
+                              (mc_dropout_log_lr, np.array([[0.5], [1.0]]))):
                     gen = np.random.default_rng(0)
                     state = gen.bit_generator.state
                     with pytest.raises(ValueError, match="two passes"):
@@ -301,6 +301,7 @@ class TestMcDropout:
         # mask block over all (pass, row, unit) entries, layer after layer,
         # then each pass alone.  The variances must match bit for bit, for
         # one vector and for a batch, and the generators must end together.
+        # The log-LR beside the batch variance is scorer.log_lr's, bit for bit.
         cfg = NetworkConfig(input_dim=2, hidden_dims=(6, 4), seed=8,
                             dropout_rate=0.3)
         scorer = init_scorer(cfg, 2.0, "squared")
@@ -309,13 +310,14 @@ class TestMcDropout:
         keep = 1.0 - scorer.dropout_rate
         for x in (xs[0], xs):
             gen = np.random.default_rng(123)
+            x2 = np.atleast_2d(x)
             if x.ndim == 1:
                 got = np.array([mc_dropout_log_lr_variance(scorer, x, m, gen)])
             else:
-                got = mc_dropout_log_lr_variance_batch(scorer, x, m, gen)
+                log_lr, got = mc_dropout_log_lr(scorer, x, m, gen)
+                assert log_lr.tobytes() == scorer.log_lr(x2).tobytes()
 
             rng = np.random.default_rng(123)
-            x2 = np.atleast_2d(x)
             masks = [(rng.random((m, len(x2), w.shape[1])) < keep) / keep
                      for w in scorer.weights[:-1]]
             samples = []
@@ -337,7 +339,7 @@ class TestMcDropout:
         cfg = NetworkConfig(input_dim=2, hidden_dims=(4,), seed=1)
         scorer = init_scorer(cfg, 1.0, "squared")
         xs = np.random.default_rng(5).normal(0, 1, (7, 2))
-        outs = mc_dropout_outputs(scorer, xs, 3, np.random.default_rng(0))
+        _, outs = mc_dropout_outputs(scorer, xs, 3, np.random.default_rng(0))
         assert outs.shape == (3, 7)
         np.testing.assert_allclose(outs[0], scorer.forward(xs), rtol=1e-15)
 
@@ -348,7 +350,8 @@ class TestMcDropout:
         # layer 1 once, b = max(1, 2**17 // (n * widest layer)) passes at a
         # time) must give the same bits and leave the generator where the
         # twin is.  With hidden (64, 32) and m = 30, n = 250 runs blocks of
-        # 8/8/8/6 and n = 1 one block of 30.
+        # 8/8/8/6 and n = 1 one block of 30.  The plain output is
+        # scorer.forward's, bit for bit.
         acts = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}
         rows = np.random.default_rng(7).normal(0, 1, (250, 2))
         cases = [((6, 4), "relu", rows[:5], 8), ((6, 4), "tanh", rows[:5], 8),
@@ -362,7 +365,7 @@ class TestMcDropout:
                                 activation=activation, dropout_rate=0.3)
             scorer = init_scorer(cfg, 2.0, "squared")
             gen = np.random.default_rng(321)
-            got = mc_dropout_outputs(scorer, xs, m, gen)
+            plain, got = mc_dropout_outputs(scorer, xs, m, gen)
 
             rng = np.random.default_rng(321)
             keep = 1.0 - scorer.dropout_rate
@@ -374,6 +377,7 @@ class TestMcDropout:
             want = np.array([np.tanh(h @ scorer.weights[-1] + scorer.biases[-1])[:, 0]
                              for h in hs])
             case = (hidden_dims, activation, x2.shape, m)
+            assert plain.tobytes() == scorer.forward(x2).tobytes(), case
             assert got.shape == (m, len(x2)), case
             assert got.tobytes() == want.tobytes(), case
             assert gen.bit_generator.state == rng.bit_generator.state, case
@@ -407,7 +411,7 @@ class TestMcDropout:
                 xs = np.random.default_rng(2).normal(0, 1, (n, 3))
                 tracemalloc.start()
                 try:
-                    outs = mc_dropout_outputs(scorer, xs, m, np.random.default_rng(0))
+                    _, outs = mc_dropout_outputs(scorer, xs, m, np.random.default_rng(0))
                     _, peak = tracemalloc.get_traced_memory()
                 finally:
                     tracemalloc.stop()
@@ -415,16 +419,18 @@ class TestMcDropout:
                 assert peak < m * n * 64 * 8, (cpus, n, peak)
 
     def test_empty_batch_draws_nothing(self):
-        # a (0, d) batch gives (m, 0) outputs and (0,) variances with
-        # dropout on or off, and leaves the generator where it was
+        # a (0, d) batch gives (0,) plain and (m, 0) outputs and (0,)
+        # log-LRs and variances with dropout on or off, and leaves the
+        # generator where it was
         for dropout in (0.0, 0.2):
             cfg = NetworkConfig(input_dim=2, hidden_dims=(6, 4), dropout_rate=dropout)
             scorer = init_scorer(cfg, 1.0, "squared")
             gen = np.random.default_rng(0)
             state = gen.bit_generator.state
-            assert mc_dropout_outputs(scorer, np.ones((0, 2)), 5, gen).shape == (5, 0)
-            var = mc_dropout_log_lr_variance_batch(scorer, np.ones((0, 2)), 5, gen)
-            assert var.shape == (0,), dropout
+            plain, outs = mc_dropout_outputs(scorer, np.ones((0, 2)), 5, gen)
+            assert (plain.shape, outs.shape) == ((0,), (5, 0)), dropout
+            log_lr, var = mc_dropout_log_lr(scorer, np.ones((0, 2)), 5, gen)
+            assert (log_lr.shape, var.shape) == ((0,), (0,)), dropout
             assert gen.bit_generator.state == state, dropout
 
     def test_query_draws_once_a_layer(self):
@@ -442,7 +448,7 @@ class TestMcDropout:
         scorer = init_scorer(cfg, 1.0, "squared")
         x = np.array([[0.4, -1.2]])
         gen = CountingGenerator(np.random.default_rng(5))
-        got = mc_dropout_outputs(scorer, x, 30, gen)
+        _, got = mc_dropout_outputs(scorer, x, 30, gen)
         assert gen.calls == 2
         want_gen = np.random.default_rng(5)
         assert got.tobytes() == replay_passes(scorer, x, 30, want_gen).tobytes()
@@ -477,9 +483,8 @@ class TestMcDropout:
                             dropout_rate=0.2)
         scorer = init_scorer(cfg, 1.0, "squared")
         xs = np.random.default_rng(6).normal(0, 1, (9, 2))
-        var = mc_dropout_log_lr_variance_batch(scorer, xs, 20,
-                                               np.random.default_rng(1))
-        assert var.shape == (9,)
+        log_lr, var = mc_dropout_log_lr(scorer, xs, 20, np.random.default_rng(1))
+        assert log_lr.shape == var.shape == (9,)
         assert np.all(var >= 0.0)
 
 
@@ -500,20 +505,6 @@ def replay_passes(scorer, x2, m, rng):
     return np.array(out)
 
 
-@pytest.fixture
-def thread_pools(monkeypatch):
-    """Record the worker count of every thread pool mc_dropout_outputs starts."""
-    pools = []
-
-    class SpyPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, workers, *args, **kwargs):
-            pools.append(workers)
-            super().__init__(workers, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)
-    return pools
-
-
 class TestMcThreads:
     # with b1 = max(1, 2**17 // (n * widest layer)) passes a block on one
     # thread, the m passes run on t = min(usable CPUs, ceil(m / b1)) threads,
@@ -527,7 +518,8 @@ class TestMcThreads:
         # every CPU count gives the oracle's bits and leaves the generator
         # where the oracle's is: one block (n = 1; n = 250 at (6, 5, 4)),
         # up to 4 blocks (n = 250 at (64, 32): 2 threads of 4, 4, 4, 3
-        # passes, or 3 of 3, 3, 3, 1) and one pass a block (n >= 2048)
+        # passes, or 3 of 3, 3, 3, 1) and one pass a block (n >= 2048).
+        # The plain output is scorer.forward's, bit for bit.
         m = 30
         rows = np.random.default_rng(7).normal(0, 1, (4000, 2))
         for hidden_dims in ((64, 32), (6, 5, 4)):
@@ -541,8 +533,9 @@ class TestMcThreads:
                         monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
                         thread_pools.clear()
                         gen = np.random.default_rng(321)
-                        got = mc_dropout_outputs(scorer, rows[:n], m, gen)
+                        plain, got = mc_dropout_outputs(scorer, rows[:n], m, gen)
                         case = (hidden_dims, activation, n, cpus)
+                        assert plain.tobytes() == scorer.forward(rows[:n]).tobytes(), case
                         assert got.tobytes() == want.tobytes(), case
                         assert gen.bit_generator.state == want_gen.bit_generator.state, case
                         t = min(cpus, -(-m // b1))
@@ -566,7 +559,7 @@ class TestMcThreads:
                 state = gen.bit_generator.state
                 assert state.get("has_uint32", 1) == 1
                 want = replay_passes(scorer, xs, m, want_gen)
-                got = mc_dropout_outputs(scorer, xs, m, gen)
+                _, got = mc_dropout_outputs(scorer, xs, m, gen)
                 case = (state["bit_generator"], cpus)
                 assert got.tobytes() == want.tobytes(), case
                 # Philox and MT19937 states hold arrays
@@ -576,19 +569,20 @@ class TestMcThreads:
     def test_threads_share_one_block(self, monkeypatch):
         # t threads run blocks of max(1, 2**17 // (t * n * widest)) passes,
         # so together they hold at most one block: at n = 250 and width 64,
-        # 8 passes on one thread, 4 on each of two, 2 on each of three
+        # 8 passes on one thread, 4 on each of two, 2 on each of three; the
+        # plain output is one more pass, without masks (recorded as 0)
         scorer = self.scorer((64, 32))
         real = scorer._hidden_pass
         blocks = []
 
         def recorded(x, masks=None, **kwargs):
-            blocks.append(masks[0].shape[0])
+            blocks.append(0 if masks is None else masks[0].shape[0])
             return real(x, masks=masks, **kwargs)
 
         monkeypatch.setattr(scorer, "_hidden_pass", recorded)
         xs = np.random.default_rng(3).normal(0, 1, (250, 2))
-        for cpus, sizes in ((1, [8, 8, 8, 6]), (2, [4, 4, 4, 3] * 2),
-                            (3, [2, 2, 2, 2, 2] * 3)):
+        for cpus, sizes in ((1, [0, 8, 8, 8, 6]), (2, [0] + [4, 4, 4, 3] * 2),
+                            (3, [0] + [2, 2, 2, 2, 2] * 3)):
             monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
             blocks.clear()
             mc_dropout_outputs(scorer, xs, 30, np.random.default_rng(0))

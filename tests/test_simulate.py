@@ -158,9 +158,9 @@ class TestOracle:
 
 
 class TestRunRegretExperiment:
-    def scenario(self, horizon=300, seed=0):
+    def scenario(self, horizon=300):
         traj = PriorTrajectory(kind="constant", p_before=0.3)
-        return StreamScenario(unit_problem(), traj, horizon=horizon, seed=seed)
+        return StreamScenario(unit_problem(), traj, horizon=horizon)
 
     def test_ledger_shapes(self):
         ledger, trace = run_regret_experiment(self.scenario(), AdapterConfig(),

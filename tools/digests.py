@@ -106,9 +106,14 @@ def main(argv=None) -> int:
     parser.add_argument("--root", type=Path, default=REPO,
                         help="checkout whose src/ and perfbench/run.py are used")
     args = parser.parse_args(argv)
+    root = args.root.resolve()
+    for needed in (root / "src" / "obil", root / "perfbench" / "run.py"):
+        if not needed.exists():
+            print(f"error: {needed}: no such file or directory", file=sys.stderr)
+            return 2
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        write_outputs(args.root.resolve(), out)
+        write_outputs(root, out)
         for line in digest_lines(out):
             print(line)
     return 0

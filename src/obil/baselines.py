@@ -54,13 +54,13 @@ def logit_adjust(z, train_p1: float, test_p1: float):
     return np.asarray(z, dtype=float) + shift if np.ndim(z) else float(z) + shift
 
 
-def bbse_estimate_prior(confusion, target_pred_dist, prior_floor: float = PRIOR_FLOOR):
+def bbse_estimate_prior(confusion, target_pred_dist):
     """Black-box shift estimation for the binary case.
 
     confusion is the 2x2 column-stochastic matrix C[i, j] = P(pred=i | y=j)
     measured on source validation data; target_pred_dist is the predicted
     label distribution on an unlabeled target batch.  Solves C p = mu, clips
-    negatives, renormalizes, then floors.  Returns (p0, p1).
+    negatives, renormalizes, then floors at PRIOR_FLOOR.  Returns (p0, p1).
     """
     c = np.asarray(confusion, dtype=float)
     mu = np.asarray(target_pred_dist, dtype=float)
@@ -74,5 +74,5 @@ def bbse_estimate_prior(confusion, target_pred_dist, prior_floor: float = PRIOR_
     if total == 0:
         raise BBSEUnidentifiable("estimated prior vector collapsed to zero")
     p = p / total
-    p1 = min(max(p[1], prior_floor), 1.0 - prior_floor)
+    p1 = min(max(p[1], PRIOR_FLOOR), 1.0 - PRIOR_FLOOR)
     return 1.0 - p1, p1

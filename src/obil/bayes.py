@@ -72,12 +72,9 @@ class PriorPair:
     """Minority-class prior p1 with the derived majority prior and ratio."""
 
     p1: float
-    floor: float = PRIOR_FLOOR
 
     def __post_init__(self):
-        if not (0.0 < self.floor < 0.5):
-            raise ValueError("prior floor must lie in (0, 0.5)")
-        object.__setattr__(self, "p1", float(min(max(self.p1, self.floor), 1.0 - self.floor)))
+        object.__setattr__(self, "p1", float(min(max(self.p1, PRIOR_FLOOR), 1.0 - PRIOR_FLOOR)))
 
     @property
     def p0(self) -> float:
@@ -94,8 +91,11 @@ def combined_threshold(costs: CostStructure, priors: PriorPair) -> float:
 
 
 def clamp_output(o):
-    """Clamp a raw network output into [-1 + EPS_CLIP, 1 - EPS_CLIP]."""
-    return np.clip(o, -1.0 + EPS_CLIP, 1.0 - EPS_CLIP)
+    """Clamp a raw network output into [-1 + EPS_CLIP, 1 - EPS_CLIP].
+
+    np.clip's bits (NaN passes through) without its Python wrapper.
+    """
+    return np.minimum(np.maximum(o, -1.0 + EPS_CLIP), 1.0 - EPS_CLIP)
 
 
 def posterior_from_output(o):

@@ -14,20 +14,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adapter import init, run_log_lr_stream
-from .bayes import posterior_from_log_lr
-from .data import stratified_split
 from .ensemble import load_ensemble, save_ensemble
-from .experiment import (DEFAULT_SPLIT, ConfigError, ParseError, check_seeds,
-                         evaluate_predictions, fit_ensemble,
-                         fit_scorer_temperature, ingest_csv, load_config,
-                         run_experiment, scorer_posteriors,
-                         stream_features_labels, write_csv, write_regret,
-                         write_trace)
+from .experiment import (ConfigError, check_seeds, fit_ensemble,
+                         fit_scorer_temperature, gaussian_problem, load_config,
+                         load_csv, regret_ledger, run_experiment, score_obil,
+                         scorer_posteriors, seed_data, split_data,
+                         stream_features_labels, write_csv, write_json,
+                         write_regret, write_trace)
 from .losses import REGISTRY as LOSS_REGISTRY
 from .metrics import ece_from_posteriors
-from .mlp import NetworkConfig, train
-from .simulate import StreamScenario, oracle_decision, run_regret_experiment
+from .mlp import train
 
 ECE_GATE = 0.05
 
@@ -45,22 +41,10 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _dataset(parsed, seed):
-    problem = parsed["problem"]
-    if problem is not None:
-        rng = np.random.default_rng(seed)
-        return problem.sample_dataset(parsed["train_size"], parsed["train_p1"], rng)
-    data = parsed["data"]
-    return ingest_csv(data["path"], data.get("label_column", "label"),
-                      data.get("positive_value", "1"))
-
-
 def cmd_gen(args):
     parsed = _load(args)
-    if parsed["problem"] is None:
-        raise ConfigError("gen requires gaussian data configuration")
-    seed = parsed["seeds"][0]
-    ds = _dataset(parsed, seed)
+    gaussian_problem(parsed, "gen")
+    ds = seed_data(parsed, parsed["seeds"][0])[0]
     out = _out_dir(args)
     path = out / "data.csv"
     write_csv(ds, path)
@@ -68,16 +52,10 @@ def cmd_gen(args):
           f"ratio {ds.imbalance_ratio:.4g}) to {path}")
 
 
-def _train_ensemble(parsed, seed):
-    ds = _dataset(parsed, seed)
-    ds.require_both_classes()
-    return fit_ensemble(parsed, ds, seed)[0]
-
-
 def cmd_train(args):
     parsed = _load(args)
     seed = parsed["seeds"][0]
-    ensemble = _train_ensemble(parsed, seed)
+    ensemble = fit_ensemble(parsed, seed_data(parsed, seed)[0], seed)[0]
     out = _out_dir(args)
     path = out / "ensemble.bin"
     save_ensemble(ensemble, path)
@@ -89,9 +67,8 @@ def cmd_train(args):
 def cmd_calibrate(args):
     parsed = _load(args)
     seed = parsed["seeds"][0]
-    ds = _dataset(parsed, seed)
-    train_part, cal_part, test_part = stratified_split(ds, DEFAULT_SPLIT[:2], seed=seed)
-    net_cfg = NetworkConfig(input_dim=ds.dim, seed=seed, **parsed["network_kwargs"])
+    (train_part, cal_part, test_part), net_cfg = split_data(
+        parsed, seed_data(parsed, seed)[0], seed)
     scorer = train(train_part, net_cfg, parsed["training"], parsed["loss"])
     post_before = scorer_posteriors(scorer, test_part.features)
     ece_before = ece_from_posteriors(post_before, test_part.labels).value
@@ -106,23 +83,20 @@ def cmd_calibrate(args):
         print(f"fitted temperature: {fitted_t:.4f}")
     print(f"ECE after: {ece_after:.4f}")
     print(f"deployment gate (ECE < {ECE_GATE}): {verdict}")
-    out = _out_dir(args)
-    with open(out / "calibration.json", "w") as fh:
-        json.dump({"ece_before": ece_before, "ece_after": ece_after,
-                   "temperature": fitted_t, "gate": verdict}, fh, indent=2)
+    write_json(_out_dir(args) / "calibration.json",
+               {"ece_before": ece_before, "ece_after": ece_after,
+                "temperature": fitted_t, "gate": verdict})
 
 
 def cmd_simulate(args):
     parsed = _load(args)
     seed = parsed["seeds"][0]
-    if parsed["problem"] is None:
-        raise ConfigError("simulate requires gaussian data configuration")
-    ensemble = _train_ensemble(parsed, seed)
-    rng = np.random.default_rng(seed)
-    feats, labels, _ = stream_features_labels(parsed["problem"], parsed["trajectory"],
+    problem = gaussian_problem(parsed, "simulate")
+    dataset, rng = seed_data(parsed, seed)
+    ensemble = fit_ensemble(parsed, dataset, seed)[0]
+    feats, labels, _ = stream_features_labels(problem, parsed["trajectory"],
                                               parsed["horizon"], rng)
-    fused = ensemble.fused_log_lr_batch(feats, rng)
-    trace = run_log_lr_stream(fused, parsed["adapter"])
+    _, trace = score_obil(ensemble, feats, labels, parsed["adapter"], rng)
     out = _out_dir(args)
     path = out / "trace.jsonl"
     write_trace(path, trace)
@@ -131,12 +105,8 @@ def cmd_simulate(args):
 
 def cmd_regret(args):
     parsed = _load(args)
-    seed = parsed["seeds"][0]
-    if parsed["problem"] is None:
-        raise ConfigError("regret requires gaussian data configuration")
-    scenario = StreamScenario(parsed["problem"], parsed["trajectory"], parsed["horizon"])
-    ledger, _ = run_regret_experiment(scenario, parsed["adapter"],
-                                      np.random.default_rng(seed))
+    gaussian_problem(parsed, "regret")
+    ledger = regret_ledger(parsed, parsed["seeds"][0])
     out = _out_dir(args)
     path = out / "regret.tsv"
     write_regret(path, ledger)
@@ -149,29 +119,15 @@ def cmd_evaluate(args):
         ensemble = load_ensemble(args.ensemble)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{args.ensemble}: not a readable ensemble: {exc}") from None
-    test = ingest_csv(args.test_csv,
-                      parsed["data"].get("label_column", "label"),
-                      parsed["data"].get("positive_value", "1"))
+    test = load_csv(parsed, args.test_csv)
     if test.dim != ensemble.members[0].input_dim:
         raise ConfigError(f"{args.test_csv}: {test.dim} feature columns, but the "
                           f"ensemble takes {ensemble.members[0].input_dim}")
-    rng = np.random.default_rng(parsed["seeds"][0])
-    fused = ensemble.fused_log_lr_batch(test.features, rng)
-    adapter_cfg = parsed["adapter"]
-    if args.adaptive:
-        trace = run_log_lr_stream(fused, adapter_cfg)
-        preds = np.array([r.prediction for r in trace])
-        p1s = np.array([r.p1_hat_after for r in trace])
-    else:
-        p1 = init(adapter_cfg).p1_hat  # the initial prior, floored as the adapter floors it
-        preds = oracle_decision(fused, adapter_cfg.qc, p1)
-        p1s = np.full(len(test), p1)
-    post = posterior_from_log_lr(fused, p1s)
-    metrics = evaluate_predictions(preds, test.labels, fused, post)
+    metrics, _ = score_obil(ensemble, test.features, test.labels, parsed["adapter"],
+                            np.random.default_rng(parsed["seeds"][0]),
+                            adaptive=args.adaptive)
     print(json.dumps(metrics, indent=2, sort_keys=True))
-    out = _out_dir(args)
-    with open(out / "evaluation.json", "w") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
+    write_json(_out_dir(args) / "evaluation.json", metrics)
 
 
 def cmd_run(args):
@@ -211,7 +167,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.fn(args)
-    except (ConfigError, ParseError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ConfigError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime stage failure

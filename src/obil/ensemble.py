@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -130,14 +130,8 @@ def train_ensemble(dataset: LabeledDataset, cfg: EnsembleConfig,
 
 def save_ensemble_bytes(ens: LikelihoodRatioEnsemble) -> bytes:
     blobs = [save_scorer_bytes(m) for m in ens.members]
-    header = {
-        "target_qps": list(ens.config.target_qps),
-        "fusion_temperature": ens.config.fusion_temperature,
-        "mc_samples": ens.config.mc_samples,
-        "calibration_fraction": ens.config.calibration_fraction,
-        "resample_method": ens.config.resample_method,
-        "member_sizes": [len(b) for b in blobs],
-    }
+    # the config's fields in declaration order, then the member sizes
+    header = {**asdict(ens.config), "member_sizes": [len(b) for b in blobs]}
     buf = io.BytesIO()
     buf.write(MAGIC_ENSEMBLE + b"\n")
     buf.write(json.dumps(header).encode() + b"\n")
@@ -152,13 +146,7 @@ def load_ensemble_bytes(data: bytes) -> LikelihoodRatioEnsemble:
     if magic != MAGIC_ENSEMBLE:
         raise ValueError("not an ensemble container")
     header = json.loads(buf.readline().decode())
-    cfg = EnsembleConfig(
-        target_qps=tuple(header["target_qps"]),
-        fusion_temperature=header["fusion_temperature"],
-        mc_samples=header["mc_samples"],
-        calibration_fraction=header["calibration_fraction"],
-        resample_method=header["resample_method"],
-    )
+    cfg = EnsembleConfig(**{f.name: header[f.name] for f in fields(EnsembleConfig)})
     members = [load_scorer_bytes(buf.read(n)) for n in header["member_sizes"]]
     return LikelihoodRatioEnsemble(members, cfg)
 

@@ -5,6 +5,7 @@ and plot-ready report emission.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -15,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adapter import AdapterConfig, run_log_lr_stream
+from .adapter import AdapterConfig, init, run_log_lr_stream
 from .baselines import bbse_estimate_prior, logit_adjust, threshold_moving_fit
-from .bayes import clamp_output, log_lr_from_output, posterior_from_log_lr
+from .bayes import PRIOR_FLOOR, clamp_output, log_lr_from_output, posterior_from_log_lr
 from .cpus import limit_cpus, one_blas_thread, usable_cpus
 from .data import LabeledDataset, stratified_split
 from .ensemble import EnsembleConfig, LikelihoodRatioEnsemble, train_ensemble
@@ -36,10 +37,6 @@ class ConfigError(ValueError):
     pass
 
 
-class ParseError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # CSV ingestion / emission
 
@@ -55,14 +52,14 @@ def ingest_csv(path, label_column: str, positive_value: str) -> LabeledDataset:
         try:
             header = next(reader)
         except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
+            raise ConfigError(f"{path}: empty file") from None
         if label_column not in header:
             raise ConfigError(f"{path}: missing label column {label_column!r}")
         label_idx = header.index(label_column)
         feats, labels = [], []
         for r, row in enumerate(reader, start=2):
             if len(row) != len(header):
-                raise ParseError(f"{path}:{r}: expected {len(header)} cells")
+                raise ConfigError(f"{path}:{r}: expected {len(header)} cells")
             vals = []
             for c, cell in enumerate(row):
                 if c == label_idx:
@@ -70,16 +67,16 @@ def ingest_csv(path, label_column: str, positive_value: str) -> LabeledDataset:
                 try:
                     v = float(cell)
                 except ValueError:
-                    raise ParseError(f"{path}:{r}: column {header[c]!r}: "
-                                     f"non-numeric cell {cell!r}") from None
+                    raise ConfigError(f"{path}:{r}: column {header[c]!r}: "
+                                      f"non-numeric cell {cell!r}") from None
                 if not math.isfinite(v):
-                    raise ParseError(f"{path}:{r}: column {header[c]!r}: "
-                                     f"non-finite cell {cell!r}")
+                    raise ConfigError(f"{path}:{r}: column {header[c]!r}: "
+                                      f"non-finite cell {cell!r}")
                 vals.append(v)
             feats.append(vals)
             labels.append(1 if row[label_idx] == positive_value else 0)
     if not feats:
-        raise ParseError(f"{path}: no data rows")
+        raise ConfigError(f"{path}: no data rows")
     return LabeledDataset(np.array(feats), np.array(labels))
 
 
@@ -91,11 +88,34 @@ def write_csv(dataset: LabeledDataset, path, label_column: str = "label"):
             writer.writerow([repr(float(v)) for v in row] + [int(y)])
 
 
+def write_json(path, obj):
+    """The one JSON artifact format: indent 2, keys sorted."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+
+
 # ---------------------------------------------------------------------------
 # Config handling
 
-def _section(cfg: dict, name: str, default=None):
-    value = cfg.get(name, default if default is not None else {})
+TOP_LEVEL_KEYS = ("data", "loss", "network", "training", "ensemble", "adapter",
+                  "scenario", "baselines", "seeds")
+DATA_KEYS = ("kind", "n", "p1", "mu0", "mu1", "sigma2",  # gaussian
+             "path", "label_column", "positive_value")  # csv, and evaluate's test CSV
+# dataclass fields that callers set and a config never does
+_CALLER_FIELDS = ("input_dim", "seed", "prior_floor")
+# field annotations are strings (postponed evaluation)
+_CONVERTERS = {"float": float, "int": int, "str": str, "tuple": tuple,
+               "np.ndarray": functools.partial(np.asarray, dtype=float)}
+
+
+def _check_keys(section: dict, known, where: str):
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"unknown config key {where + key!r}")
+
+
+def _section(cfg: dict, name: str) -> dict:
+    value = cfg.get(name, {})
     if not isinstance(value, dict):
         raise ConfigError(f"section {name!r} must be an object")
     return value
@@ -110,6 +130,22 @@ def _section_values(name: str):
         raise ConfigError(f"invalid {name}: {exc}") from None
 
 
+def _field_values(cls, section: dict, name: str, **check) -> dict:
+    """Keyword arguments for dataclass `cls` from the keys of config section `name`.
+
+    Each key must name a field of `cls` that a config may set, and its value
+    is converted to the type the field declares; a missing key takes the
+    field's default.  Building `cls`, with `check` filling fields that
+    callers supply, checks the values.
+    """
+    types = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in _CALLER_FIELDS}
+    _check_keys(section, types, f"{name}.")
+    with _section_values(f"{name} section"):
+        kwargs = {key: _CONVERTERS[types[key]](value) for key, value in section.items()}
+        cls(**check, **kwargs)
+    return kwargs
+
+
 def check_seeds(seeds) -> list:
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("seeds must be a nonempty list")
@@ -122,10 +158,16 @@ def check_seeds(seeds) -> list:
 def parse_config(cfg: dict) -> dict:
     """Validate a raw config dict; returns typed components.
 
-    Every value a command reads is checked here, so a bad config fails with
-    a ConfigError before any training starts.
+    A section's keys are the fields of its dataclass, which holds their
+    defaults, and a key that no command reads is an error.  Every value a
+    command reads is checked here, so a bad config fails with a ConfigError
+    before any training starts.
     """
-    data = _section(cfg, "data", {"kind": "gaussian"})
+    if not isinstance(cfg, dict):
+        raise ConfigError("a config must be a JSON object")
+    _check_keys(cfg, TOP_LEVEL_KEYS, "")
+    data = _section(cfg, "data")
+    _check_keys(data, DATA_KEYS, "data.")
     kind = data.get("kind", "gaussian")
     if kind not in ("gaussian", "csv"):
         raise ConfigError(f"unknown data kind {kind!r}")
@@ -136,11 +178,6 @@ def parse_config(cfg: dict) -> dict:
     if loss not in LOSS_REGISTRY:
         raise ConfigError(f"unknown loss {loss!r}; registered: {sorted(LOSS_REGISTRY)}")
 
-    net = _section(cfg, "network")
-    trn = _section(cfg, "training")
-    ens = _section(cfg, "ensemble")
-    adp = _section(cfg, "adapter")
-    scn = _section(cfg, "scenario")
     bas = cfg.get("baselines", ["vanilla"])
     if not isinstance(bas, list):
         raise ConfigError("baselines must be a list")
@@ -151,12 +188,10 @@ def parse_config(cfg: dict) -> dict:
 
     seeds = check_seeds(cfg.get("seeds", [0]))
 
+    gaussian = {k: data[k] for k in ("mu0", "mu1", "sigma2") if k in data}
+    problem = GaussianProblem(**_field_values(GaussianProblem, gaussian, "data")) \
+        if kind == "gaussian" else None
     with _section_values("data section"):
-        problem = GaussianProblem(
-            mu0=np.asarray(data.get("mu0", [-1.0]), dtype=float),
-            mu1=np.asarray(data.get("mu1", [1.0]), dtype=float),
-            sigma2=float(data.get("sigma2", 1.0)),
-        ) if kind == "gaussian" else None
         train_size = int(data.get("n", 2000))
         train_p1 = float(data.get("p1", 0.5))
         if train_size < 1:
@@ -164,59 +199,23 @@ def parse_config(cfg: dict) -> dict:
         if not 0.0 <= train_p1 <= 1.0:
             raise ValueError(f"p1 must lie in [0, 1], got {train_p1}")
 
-    with _section_values("network or training section"):
-        network_kwargs = {
-            "hidden_dims": tuple(net.get("hidden_dims", [128, 64, 32])),
-            "activation": net.get("activation", "relu"),
-            "dropout_rate": float(net.get("dropout_rate", 0.1)),
-        }
-        # callers add the input dimension and the seed; check the rest now
-        NetworkConfig(input_dim=1, **network_kwargs)
-        training = TrainingConfig(
-            learning_rate=float(trn.get("learning_rate", 1e-3)),
-            max_epochs=int(trn.get("max_epochs", 100)),
-            batch_size=int(trn.get("batch_size", 32)),
-            early_stop_patience=int(trn.get("early_stop_patience", 10)),
-            validation_fraction=float(trn.get("validation_fraction", 0.15)),
-        )
+    # a config's nets use dropout unless it says otherwise, the library's do
+    # not; callers add the input dimension and the seed
+    network = {"dropout_rate": 0.1, **_section(cfg, "network")}
+    network_kwargs = _field_values(NetworkConfig, network, "network", input_dim=1)
+    training = TrainingConfig(**_field_values(TrainingConfig, _section(cfg, "training"),
+                                              "training"))
+    # without target_qps the ratios follow the data (ensemble_config_from)
+    ensemble_kwargs = _field_values(EnsembleConfig, _section(cfg, "ensemble"), "ensemble")
+    adapter = AdapterConfig(**_field_values(AdapterConfig, _section(cfg, "adapter"), "adapter"))
 
-    with _section_values("ensemble section"):
-        ensemble_kwargs = {
-            "fusion_temperature": float(ens.get("fusion_temperature", 1.0)),
-            "mc_samples": int(ens.get("mc_samples", 30)),
-            "calibration_fraction": float(ens.get("calibration_fraction", 0.15)),
-            "resample_method": ens.get("resample_method", "undersample"),
-        }
-        target_qps = ens.get("target_qps")
-        if target_qps is not None:
-            target_qps = EnsembleConfig(target_qps, **ensemble_kwargs).target_qps
-        else:
-            # the default ratios follow the data; check the other fields now
-            EnsembleConfig(**ensemble_kwargs)
-
-    with _section_values("adapter section"):
-        adapter = AdapterConfig(
-            qc=float(adp.get("qc", 1.0)),
-            initial_p1=float(adp.get("initial_p1", 0.5)),
-            alpha=float(adp.get("alpha", 0.05)),
-            gamma=float(adp.get("gamma", 0.9)),
-            beta=float(adp.get("beta", 0.6)),
-            delta_max=float(adp.get("delta_max", 0.02)),
-            window_w=int(adp.get("window_w", 100)),
-        )
-
+    scenario = dict(_section(cfg, "scenario"))
+    if "p1" in scenario:  # an alias of p_before, which wins when both are set
+        scenario.setdefault("p_before", scenario.pop("p1"))
+    horizon = scenario.pop("horizon", 1000)
+    trajectory = PriorTrajectory(**_field_values(PriorTrajectory, scenario, "scenario"))
     with _section_values("scenario section"):
-        trajectory = PriorTrajectory(
-            kind=scn.get("kind", "constant"),
-            p_before=float(scn.get("p_before", scn.get("p1", 0.5))),
-            p_after=float(scn.get("p_after", 0.5)),
-            t_switch=int(scn.get("t_switch", 0)),
-            decay_steps=int(scn.get("decay_steps", 1000)),
-            p_start=float(scn.get("p_start", 0.2)),
-            slope=float(scn.get("slope", 0.0)),
-            p_cap=float(scn.get("p_cap", 0.8)),
-        )
-        horizon = int(scn.get("horizon", 1000))
+        horizon = int(horizon)
         if horizon < 1:
             raise ValueError(f"horizon must be at least 1, got {horizon}")
 
@@ -227,7 +226,6 @@ def parse_config(cfg: dict) -> dict:
         "network_kwargs": network_kwargs,
         "training": training,
         "ensemble_kwargs": ensemble_kwargs,
-        "target_qps": target_qps,
         "adapter": adapter,
         "trajectory": trajectory,
         "horizon": horizon,
@@ -235,7 +233,6 @@ def parse_config(cfg: dict) -> dict:
         "train_p1": train_p1,
         "baselines": bas,
         "seeds": seeds,
-        "input_dim": problem.dim if problem is not None else None,
     }
 
 
@@ -251,12 +248,14 @@ def load_config(path) -> dict:
 
 
 def ensemble_config_from(parsed: dict, native_qp: float) -> EnsembleConfig:
-    targets = parsed["target_qps"]
-    if targets is None:
+    """The configured ensemble; without target_qps, ratios up to the data's own."""
+    kwargs = parsed["ensemble_kwargs"]
+    if "target_qps" not in kwargs:
         targets = [q for q in (1.0, 2.0, 5.0, 10.0) if q <= native_qp] or [1.0]
         if all(abs(native_qp - t) > 0.25 for t in targets):
             targets.append(round(native_qp, 4))
-    return EnsembleConfig(target_qps=tuple(targets), **parsed["ensemble_kwargs"])
+        kwargs = {**kwargs, "target_qps": targets}
+    return EnsembleConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -285,23 +284,36 @@ def stream_features_labels(problem: GaussianProblem, trajectory: PriorTrajectory
     return feats, labels, p1s
 
 
+def score_obil(ensemble: LikelihoodRatioEnsemble, feats, labels,
+               adapter_cfg: AdapterConfig, rng, adaptive: bool = True):
+    """OBIL's metrics on a labelled stream, and the adapter trace.
+
+    The fused log-LRs meet the adapter's evolving prior, or with adaptive
+    False the initial prior held fixed (floored as the adapter floors it),
+    whose trace is None.
+    """
+    fused = ensemble.fused_log_lr_batch(feats, rng)
+    if adaptive:
+        trace = run_log_lr_stream(fused, adapter_cfg)
+        preds = np.array([r.prediction for r in trace])
+        p1s = np.array([r.p1_hat_after for r in trace])
+    else:
+        trace, p1s = None, init(adapter_cfg).p1_hat
+        preds = oracle_decision(fused, adapter_cfg.qc, p1s)
+    # posterior implied by the fused ratio at the prior behind each decision
+    post = posterior_from_log_lr(fused, p1s)
+    return evaluate_predictions(preds, labels, fused, post), trace
+
+
 def evaluate_on_stream(ensemble: LikelihoodRatioEnsemble, vanilla_scorer,
                        feats, labels, parsed, rng, calibration=None):
     """OBIL with adaptive threshold vs configured baselines on one stream.
 
     Returns {method: metrics dict} plus the adapter trace.
     """
-    adapter_cfg = parsed["adapter"]
-    qc = adapter_cfg.qc
+    qc = parsed["adapter"].qc
     results = {}
-
-    fused = ensemble.fused_log_lr_batch(feats, rng)
-    trace = run_log_lr_stream(fused, adapter_cfg)
-    preds = np.array([r.prediction for r in trace])
-    # posterior implied by the fused ratio at the adapter's evolving prior
-    p1s = np.array([r.p1_hat_after for r in trace])
-    post = posterior_from_log_lr(fused, p1s)
-    results["obil"] = evaluate_predictions(preds, labels, fused, post)
+    results["obil"], trace = score_obil(ensemble, feats, labels, parsed["adapter"], rng)
 
     if vanilla_scorer is not None:
         # one forward pass over the stream gives both the ratio and the posterior
@@ -324,7 +336,7 @@ def evaluate_on_stream(ensemble: LikelihoodRatioEnsemble, vanilla_scorer,
             elif name in ("logit_adjustment", "logit_adjustment_oracle"):
                 train_p1 = 1.0 / (1.0 + vanilla_scorer.training_qp)
                 test_p1 = float(labels.mean()) if name.endswith("oracle") else train_p1
-                test_p1 = min(max(test_p1, 0.005), 0.995)
+                test_p1 = min(max(test_p1, PRIOR_FLOOR), 1.0 - PRIOR_FLOOR)
                 z = np.log(vpost) - np.log1p(-vpost)
                 zadj = logit_adjust(z, train_p1, test_p1)
                 p = (zadj > 0).astype(int)
@@ -356,40 +368,76 @@ def fit_scorer_temperature(scorer, calibration: LabeledDataset):
 
 
 # ---------------------------------------------------------------------------
-# Full pipeline
+# Seed pipeline: the stages every command runs, in the order `obil run` runs them
 
-def fit_ensemble(parsed: dict, dataset: LabeledDataset, seed: int):
-    """Split dataset and train the ensemble; returns (ensemble, train, cal, net_cfg)."""
-    train_part, cal_part, _test_part = stratified_split(dataset, DEFAULT_SPLIT[:2], seed=seed)
-    net_cfg = NetworkConfig(input_dim=dataset.dim, seed=seed, **parsed["network_kwargs"])
+def gaussian_problem(parsed: dict, command: str) -> GaussianProblem:
+    if parsed["problem"] is None:
+        raise ConfigError(f"{command} requires gaussian data")
+    return parsed["problem"]
+
+
+def load_csv(parsed: dict, path) -> LabeledDataset:
+    """A CSV read with the config's label column and positive value."""
+    data = parsed["data"]
+    return ingest_csv(path, data.get("label_column", "label"),
+                      data.get("positive_value", "1"))
+
+
+def seed_data(parsed: dict, seed: int):
+    """A seed's dataset and default_rng(seed), left where the seed's stream starts.
+
+    Gaussian data is drawn from that generator; CSV data leaves it untouched.
+    """
+    rng = np.random.default_rng(seed)
+    problem = parsed["problem"]
+    if problem is None:
+        return load_csv(parsed, parsed["data"]["path"]), rng
+    return problem.sample_dataset(parsed["train_size"], parsed["train_p1"], rng), rng
+
+
+def split_data(parsed: dict, dataset: LabeledDataset, seed: int):
+    """A seed's train / calibration / test parts and its network config."""
+    dataset.require_both_classes()
+    parts = stratified_split(dataset, DEFAULT_SPLIT[:2], seed=seed)
+    return parts, NetworkConfig(input_dim=dataset.dim, seed=seed, **parsed["network_kwargs"])
+
+
+def fit_ensemble(parsed: dict, dataset: LabeledDataset, seed: int, with_vanilla=False):
+    """Split the data and train the ensemble, and with_vanilla a plain net too.
+
+    Under a logit-space loss each net's temperature is then fitted on the
+    calibration part, unless that part lacks a class.  Returns (ensemble,
+    vanilla net or None, calibration part).
+    """
+    (train_part, cal_part, _test_part), net_cfg = split_data(parsed, dataset, seed)
     ens_cfg = ensemble_config_from(parsed, train_part.imbalance_ratio)
     ensemble = train_ensemble(train_part, ens_cfg, net_cfg, parsed["training"],
                               parsed["loss"], seed=seed)
-    return ensemble, train_part, cal_part, net_cfg
+    vanilla = train(train_part, net_cfg, parsed["training"], parsed["loss"]) \
+        if with_vanilla else None
+    if LOSS_REGISTRY[parsed["loss"]].logit_space and cal_part.n_positive \
+            and cal_part.n_negative:
+        for net in ensemble.members + ([vanilla] if with_vanilla else []):
+            fit_scorer_temperature(net, cal_part)
+    return ensemble, vanilla, cal_part
+
+
+def regret_ledger(parsed: dict, seed: int):
+    """The seed's regret ledger, on its own gaussian stream from default_rng(seed + 1)."""
+    scenario = StreamScenario(parsed["problem"], parsed["trajectory"], parsed["horizon"])
+    return run_regret_experiment(scenario, parsed["adapter"],
+                                 np.random.default_rng(seed + 1))[0]
 
 
 def run_single_seed(parsed: dict, seed: int):
-    problem = parsed["problem"]
-    if problem is None:
-        raise ConfigError("run_experiment currently requires gaussian data")
-    rng = np.random.default_rng(seed)
-    train_set = problem.sample_dataset(parsed["train_size"], parsed["train_p1"], rng)
-    ensemble, train_part, cal_part, net_cfg = fit_ensemble(parsed, train_set, seed)
-    vanilla = train(train_part, net_cfg, parsed["training"], parsed["loss"])
-    if LOSS_REGISTRY[parsed["loss"]].logit_space and cal_part.n_positive and cal_part.n_negative:
-        for member in ensemble.members:
-            fit_scorer_temperature(member, cal_part)
-        fit_scorer_temperature(vanilla, cal_part)
-
+    problem = gaussian_problem(parsed, "run")
+    dataset, rng = seed_data(parsed, seed)
+    ensemble, vanilla, cal_part = fit_ensemble(parsed, dataset, seed, with_vanilla=True)
     feats, labels, _ = stream_features_labels(problem, parsed["trajectory"],
                                               parsed["horizon"], rng)
     results, trace = evaluate_on_stream(ensemble, vanilla, feats, labels,
                                         parsed, rng, calibration=cal_part)
-
-    scenario = StreamScenario(problem, parsed["trajectory"], parsed["horizon"])
-    ledger, _ = run_regret_experiment(scenario, parsed["adapter"],
-                                      np.random.default_rng(seed + 1))
-    return {"metrics": results, "trace": trace, "regret": ledger}
+    return {"metrics": results, "trace": trace, "regret": regret_ledger(parsed, seed)}
 
 
 def write_trace(path, trace):
@@ -442,8 +490,7 @@ def _run_seed(parsed: dict, seed: int, out: Path) -> dict:
     result = run_single_seed(parsed, seed)
     seed_dir = out / f"seed_{seed}"
     seed_dir.mkdir(exist_ok=True)
-    with open(seed_dir / "metrics.json", "w") as fh:
-        json.dump(result["metrics"], fh, indent=2, sort_keys=True)
+    write_json(seed_dir / "metrics.json", result["metrics"])
     write_trace(seed_dir / "trace.jsonl", result["trace"])
     write_regret(seed_dir / "regret.tsv", result["regret"])
     return result["metrics"]
@@ -484,6 +531,5 @@ def run_experiment(parsed: dict, out_dir):
         "per_seed": [{m: v for m, v in row.items()} for row in per_seed_metrics],
         "aggregate": _aggregate(per_seed_metrics),
     }
-    with open(out / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    write_json(out / "report.json", report)
     return report

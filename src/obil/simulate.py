@@ -75,7 +75,6 @@ class PriorTrajectory:
     p_start: float = 0.2
     slope: float = 0.0
     p_cap: float = 0.8
-    floor: float = PRIOR_FLOOR
 
     def __post_init__(self):
         if self.kind not in TRAJECTORY_KINDS:
@@ -102,7 +101,7 @@ class PriorTrajectory:
         else:  # linear_drift
             p = min(self.p_start + self.slope * t, self.p_cap) if self.slope >= 0 \
                 else max(self.p_start + self.slope * t, self.p_cap)
-        return min(max(p, self.floor), 1.0 - self.floor)
+        return min(max(p, PRIOR_FLOOR), 1.0 - PRIOR_FLOOR)
 
 
 @dataclass(frozen=True)

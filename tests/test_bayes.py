@@ -217,3 +217,13 @@ class TestClampOutput:
     def test_vectorized(self):
         out = clamp_output(np.array([-5.0, 0.0, 5.0]))
         np.testing.assert_allclose(out, [-1 + EPS_CLIP, 0.0, 1 - EPS_CLIP])
+
+    def test_edge_values_match_np_clip_bit_for_bit(self):
+        # NaN passes through, the sign of zero stays, infinities clamp
+        edges = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0,
+                          5e300, -5e300])
+        expected = np.clip(edges, -1.0 + EPS_CLIP, 1.0 - EPS_CLIP)
+        assert clamp_output(edges).tobytes() == expected.tobytes()
+        for x in edges:
+            assert np.float64(clamp_output(x)).tobytes() == \
+                np.clip(x, -1.0 + EPS_CLIP, 1.0 - EPS_CLIP).tobytes()

@@ -16,9 +16,9 @@ from obil import experiment, mlp
 from obil.bayes import PRIOR_FLOOR
 from obil.cli import main
 from obil.data import LabeledDataset
-from obil.ensemble import EnsembleConfig, LikelihoodRatioEnsemble
-from obil.experiment import (ConfigError, ParseError, _aggregate, ingest_csv,
-                             parse_config, write_csv)
+from obil.ensemble import EnsembleConfig, LikelihoodRatioEnsemble, load_ensemble
+from obil.experiment import (ConfigError, _aggregate, ingest_csv, parse_config,
+                             write_csv)
 
 
 def base_config(**overrides):
@@ -60,13 +60,14 @@ class TestIngestCsv:
     def test_nan_cell_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("x0,label\nnan,1\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ConfigError, match=r"d\.csv:2: column 'x0': non-finite cell 'nan'"):
             ingest_csv(p, "label", "1")
 
     def test_non_numeric_cell_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("x0,label\nhello,1\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ConfigError,
+                           match=r"d\.csv:2: column 'x0': non-numeric cell 'hello'"):
             ingest_csv(p, "label", "1")
 
     def test_missing_label_column(self, tmp_path):
@@ -78,16 +79,16 @@ class TestIngestCsv:
     def test_ragged_row_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("x0,x1,label\n1.0,1\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ConfigError, match=r"d\.csv:2: expected 3 cells"):
             ingest_csv(p, "label", "1")
 
     def test_empty_and_header_only(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("")
-        with pytest.raises(ParseError):
+        with pytest.raises(ConfigError, match=r"d\.csv: empty file"):
             ingest_csv(p, "label", "1")
         p.write_text("x0,label\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ConfigError, match=r"d\.csv: no data rows"):
             ingest_csv(p, "label", "1")
 
     def test_round_trip(self, tmp_path):
@@ -123,6 +124,11 @@ class TestParseConfig:
     def test_empty_seed_list(self):
         with pytest.raises(ConfigError):
             parse_config({"seeds": []})
+
+
+# (section, key, value) with a key that no command reads
+UNKNOWN_KEYS = [(None, "seed", 5), ("network", "dropout", 0.5),
+                ("scenario", "horizen", 10), ("adapter", "prior_floor", 0.1)]
 
 
 class TestCliExitCodes:
@@ -189,6 +195,7 @@ class TestCliExitCodes:
         ("run", "adapter", "initial_p1", float("nan")),
         ("run", "scenario", "p_before", float("nan")),
         ("run", "scenario", "slope", float("nan")),
+        *[("run", *unknown) for unknown in UNKNOWN_KEYS],
     ])
     def test_invalid_section_value_or_seed_exits_2(
             self, tmp_path, capsys, command, section, key, value):
@@ -198,7 +205,11 @@ class TestCliExitCodes:
             {section: {**base_config()[section], **values}}
         cfg = write_config(tmp_path, **overrides)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        assert "error:" in capsys.readouterr().err
+        error = capsys.readouterr().err
+        assert "error:" in error
+        if (section, key, value) in UNKNOWN_KEYS:
+            name = key if section is None else f"{section}.{key}"
+            assert f"unknown config key {name!r}" in error
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_override_exits_2(self, tmp_path, capsys):
@@ -339,6 +350,38 @@ class TestPipeline:
         lines = (out / "regret.tsv").read_text().splitlines()
         assert lines[0] == "t\talg_loss\toracle_loss\tcum_regret"
         assert len(lines) == 41
+
+    @pytest.mark.parametrize("seed_args", [[], ["--seed", "2"]])
+    def test_simulate_and_regret_write_run_seed_bytes(self, tmp_path, seed_args):
+        # each command runs `obil run`'s stages for its seed: the training
+        # draw, then the stream from the same generator, and the regret
+        # stream from default_rng(seed + 1)
+        cfg = write_config(tmp_path)
+        seed = int(seed_args[1]) if seed_args else 0
+        for command in ("run", "simulate", "regret"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command),
+                         *seed_args]) == 0
+        seed_dir = tmp_path / "run" / f"seed_{seed}"
+        assert (tmp_path / "simulate" / "trace.jsonl").read_bytes() == \
+            (seed_dir / "trace.jsonl").read_bytes()
+        assert (tmp_path / "regret" / "regret.tsv").read_bytes() == \
+            (seed_dir / "regret.tsv").read_bytes()
+
+    def test_train_saves_the_temperatures_run_scores_with(self, tmp_path, monkeypatch):
+        scored = []
+        real = experiment.evaluate_on_stream
+
+        def spy(ensemble, *args, **kwargs):
+            scored.append([m.temperature for m in ensemble.members])
+            return real(ensemble, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "evaluate_on_stream", spy)
+        cfg = write_config(tmp_path, loss="xent_sigmoid")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "train")]) == 0
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        saved = [m.temperature for m in load_ensemble(tmp_path / "train" / "ensemble.bin").members]
+        assert scored == [saved]
+        assert all(t != 1.0 for t in saved)
 
     def test_calibrate_reports_gate(self, tmp_path, capsys):
         cfg = write_config(tmp_path, loss="xent_sigmoid")

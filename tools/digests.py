@@ -20,6 +20,11 @@ The commands, each through `obil.cli.main` in this process:
   run in blocks of 8, 8, 8 and 6 on one CPU, or of 4, 4, 4 and 3 on each of
   two threads.
 
+`obil simulate` and `obil regret` run `obil run`'s stages for seed 0, so
+`simulate/trace.jsonl` equals `readme/seed_0/trace.jsonl` and
+`regret/regret.tsv` equals `readme/seed_0/regret.tsv`: the two pairs of
+lines print the same digest by design.
+
 Each line is `<first 8 hex digits of sha256> <path under the output
 directory>`, sorted by path.  Two checkouts that print the same lines wrote
 the same bytes, up to a collision of 8 hex digits.

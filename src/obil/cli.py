@@ -17,9 +17,8 @@ from . import __version__
 from .ensemble import load_ensemble, save_ensemble
 from .experiment import (ConfigError, check_seeds, fit_ensemble,
                          fit_scorer_temperature, gaussian_problem, load_config,
-                         load_csv, regret_ledger, run_experiment, score_obil,
-                         scorer_posteriors, seed_data, split_data,
-                         stream_features_labels, write_csv, write_json,
+                         load_csv, run_experiment, score_obil, scorer_posteriors,
+                         seed_data, seed_stream, split_data, write_csv, write_json,
                          write_regret, write_trace)
 from .losses import REGISTRY as LOSS_REGISTRY
 from .metrics import ece_from_posteriors
@@ -88,27 +87,25 @@ def cmd_calibrate(args):
                 "temperature": fitted_t, "gate": verdict})
 
 
-def cmd_simulate(args):
+def _seed_stream(args, command: str):
+    """`obil run`'s stages for the first seed, without the baselines."""
     parsed = _load(args)
     seed = parsed["seeds"][0]
-    problem = gaussian_problem(parsed, "simulate")
+    gaussian_problem(parsed, command)
     dataset, rng = seed_data(parsed, seed)
-    ensemble = fit_ensemble(parsed, dataset, seed)[0]
-    feats, labels, _ = stream_features_labels(problem, parsed["trajectory"],
-                                              parsed["horizon"], rng)
-    _, trace = score_obil(ensemble, feats, labels, parsed["adapter"], rng)
-    out = _out_dir(args)
-    path = out / "trace.jsonl"
+    return seed_stream(parsed, fit_ensemble(parsed, dataset, seed)[0], rng)
+
+
+def cmd_simulate(args):
+    *_, trace = _seed_stream(args, "simulate")
+    path = _out_dir(args) / "trace.jsonl"
     write_trace(path, trace)
     print(f"wrote {len(trace)} trace lines to {path}")
 
 
 def cmd_regret(args):
-    parsed = _load(args)
-    gaussian_problem(parsed, "regret")
-    ledger = regret_ledger(parsed, parsed["seeds"][0])
-    out = _out_dir(args)
-    path = out / "regret.tsv"
+    *_, ledger, _ = _seed_stream(args, "regret")
+    path = _out_dir(args) / "regret.tsv"
     write_regret(path, ledger)
     print(f"final cumulative regret: {ledger.cum_regret[-1]:.4f}; ledger at {path}")
 
@@ -145,7 +142,7 @@ def build_parser():
         "train": (cmd_train, "fit and serialize a likelihood-ratio ensemble"),
         "calibrate": (cmd_calibrate, "fit temperature and report the ECE gate"),
         "simulate": (cmd_simulate, "run the adapter on a scenario, emit trace"),
-        "regret": (cmd_regret, "run the regret experiment, emit ledger"),
+        "regret": (cmd_regret, "fit, then charge the adapter's regret, emit ledger"),
         "evaluate": (cmd_evaluate, "score a serialized ensemble on a test CSV"),
         "run": (cmd_run, "run the full multi-seed experiment pipeline"),
     }

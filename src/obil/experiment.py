@@ -276,12 +276,12 @@ def evaluate_predictions(preds, labels, scores, posteriors):
     }
 
 
-def stream_features_labels(problem: GaussianProblem, trajectory: PriorTrajectory,
-                           horizon: int, rng: np.random.Generator):
-    p1s = np.array([trajectory.p1_at(t) for t in range(horizon)])
-    labels = (rng.random(horizon) < p1s).astype(int)
-    feats = problem.sample(labels, rng)
-    return feats, labels, p1s
+def adaptive_metrics(fused, labels, trace):
+    """OBIL's metrics from the adapter's trace on the fused log-LRs, with the
+    posterior the fused ratio implies at the adapter's prior after each step."""
+    preds = np.array([r.prediction for r in trace])
+    p1s = np.array([r.p1_hat_after for r in trace])
+    return evaluate_predictions(preds, labels, fused, posterior_from_log_lr(fused, p1s))
 
 
 def score_obil(ensemble: LikelihoodRatioEnsemble, feats, labels,
@@ -295,68 +295,57 @@ def score_obil(ensemble: LikelihoodRatioEnsemble, feats, labels,
     fused = ensemble.fused_log_lr_batch(feats, rng)
     if adaptive:
         trace = run_log_lr_stream(fused, adapter_cfg)
-        preds = np.array([r.prediction for r in trace])
-        p1s = np.array([r.p1_hat_after for r in trace])
-    else:
-        trace, p1s = None, init(adapter_cfg).p1_hat
-        preds = oracle_decision(fused, adapter_cfg.qc, p1s)
-    # posterior implied by the fused ratio at the prior behind each decision
-    post = posterior_from_log_lr(fused, p1s)
-    return evaluate_predictions(preds, labels, fused, post), trace
+        return adaptive_metrics(fused, labels, trace), trace
+    p1 = init(adapter_cfg).p1_hat
+    preds = oracle_decision(fused, adapter_cfg.qc, p1)
+    return evaluate_predictions(preds, labels, fused, posterior_from_log_lr(fused, p1)), None
 
 
-def evaluate_on_stream(ensemble: LikelihoodRatioEnsemble, vanilla_scorer,
-                       feats, labels, parsed, rng, calibration=None):
-    """OBIL with adaptive threshold vs configured baselines on one stream.
-
-    Returns {method: metrics dict} plus the adapter trace.
-    """
+def evaluate_on_stream(vanilla_scorer, feats, labels, parsed, calibration=None):
+    """The configured baselines on one labelled stream: {method: metrics dict}."""
     qc = parsed["adapter"].qc
     results = {}
-    results["obil"], trace = score_obil(ensemble, feats, labels, parsed["adapter"], rng)
-
-    if vanilla_scorer is not None:
-        # one forward pass over the stream gives both the ratio and the posterior
-        o = clamp_output(np.atleast_1d(vanilla_scorer.forward(feats)))
-        log_lrs = log_lr_from_output(o, vanilla_scorer.training_qp)
-        vpost = (o + 1.0) / 2.0
-        uses_cal = [b for b in parsed["baselines"] if b in ("threshold_moving", "bbse")]
-        if uses_cal:
-            if calibration is None:
-                raise ConfigError(f"{uses_cal[0]} needs a calibration split")
-            cal_post = scorer_posteriors(vanilla_scorer, calibration.features)
-        for name in parsed["baselines"]:
-            if name == "vanilla":
-                p = (np.exp(log_lrs) > qc * vanilla_scorer.training_qp).astype(int)
-                results["vanilla"] = evaluate_predictions(p, labels, log_lrs, vpost)
-            elif name == "threshold_moving":
-                thr, _ = threshold_moving_fit(cal_post, calibration.labels)
-                p = (vpost > thr).astype(int)
-                results["threshold_moving"] = evaluate_predictions(p, labels, log_lrs, vpost)
-            elif name in ("logit_adjustment", "logit_adjustment_oracle"):
-                train_p1 = 1.0 / (1.0 + vanilla_scorer.training_qp)
-                test_p1 = float(labels.mean()) if name.endswith("oracle") else train_p1
-                test_p1 = min(max(test_p1, PRIOR_FLOOR), 1.0 - PRIOR_FLOOR)
-                z = np.log(vpost) - np.log1p(-vpost)
-                zadj = logit_adjust(z, train_p1, test_p1)
-                p = (zadj > 0).astype(int)
-                results[name] = evaluate_predictions(p, labels, log_lrs, vpost)
-            elif name == "bbse":
-                cal_pred = (cal_post > 0.5).astype(int)
-                cy = calibration.labels
-                conf = np.zeros((2, 2))
-                for j in (0, 1):
-                    mask = cy == j
-                    if mask.sum() == 0:
-                        raise ConfigError("bbse calibration split lacks a class")
-                    conf[1, j] = np.mean(cal_pred[mask])
-                    conf[0, j] = 1.0 - conf[1, j]
-                target_pred = (vpost > 0.5).astype(int)
-                mu = np.array([1.0 - target_pred.mean(), target_pred.mean()])
-                _, p1_hat = bbse_estimate_prior(conf, mu)
-                p = oracle_decision(log_lrs, qc, p1_hat)
-                results["bbse"] = evaluate_predictions(p, labels, log_lrs, vpost)
-    return results, trace
+    # one forward pass over the stream gives both the ratio and the posterior
+    o = clamp_output(np.atleast_1d(vanilla_scorer.forward(feats)))
+    log_lrs = log_lr_from_output(o, vanilla_scorer.training_qp)
+    vpost = (o + 1.0) / 2.0
+    uses_cal = [b for b in parsed["baselines"] if b in ("threshold_moving", "bbse")]
+    if uses_cal:
+        if calibration is None:
+            raise ConfigError(f"{uses_cal[0]} needs a calibration split")
+        cal_post = scorer_posteriors(vanilla_scorer, calibration.features)
+    for name in parsed["baselines"]:
+        if name == "vanilla":
+            p = (np.exp(log_lrs) > qc * vanilla_scorer.training_qp).astype(int)
+            results["vanilla"] = evaluate_predictions(p, labels, log_lrs, vpost)
+        elif name == "threshold_moving":
+            thr, _ = threshold_moving_fit(cal_post, calibration.labels)
+            p = (vpost > thr).astype(int)
+            results["threshold_moving"] = evaluate_predictions(p, labels, log_lrs, vpost)
+        elif name in ("logit_adjustment", "logit_adjustment_oracle"):
+            train_p1 = 1.0 / (1.0 + vanilla_scorer.training_qp)
+            test_p1 = float(labels.mean()) if name.endswith("oracle") else train_p1
+            test_p1 = min(max(test_p1, PRIOR_FLOOR), 1.0 - PRIOR_FLOOR)
+            z = np.log(vpost) - np.log1p(-vpost)
+            zadj = logit_adjust(z, train_p1, test_p1)
+            p = (zadj > 0).astype(int)
+            results[name] = evaluate_predictions(p, labels, log_lrs, vpost)
+        elif name == "bbse":
+            cal_pred = (cal_post > 0.5).astype(int)
+            cy = calibration.labels
+            conf = np.zeros((2, 2))
+            for j in (0, 1):
+                mask = cy == j
+                if mask.sum() == 0:
+                    raise ConfigError("bbse calibration split lacks a class")
+                conf[1, j] = np.mean(cal_pred[mask])
+                conf[0, j] = 1.0 - conf[1, j]
+            target_pred = (vpost > 0.5).astype(int)
+            mu = np.array([1.0 - target_pred.mean(), target_pred.mean()])
+            _, p1_hat = bbse_estimate_prior(conf, mu)
+            p = oracle_decision(log_lrs, qc, p1_hat)
+            results["bbse"] = evaluate_predictions(p, labels, log_lrs, vpost)
+    return results
 
 
 def fit_scorer_temperature(scorer, calibration: LabeledDataset):
@@ -422,22 +411,27 @@ def fit_ensemble(parsed: dict, dataset: LabeledDataset, seed: int, with_vanilla=
     return ensemble, vanilla, cal_part
 
 
-def regret_ledger(parsed: dict, seed: int):
-    """The seed's regret ledger, on its own gaussian stream from default_rng(seed + 1)."""
+def seed_stream(parsed: dict, ensemble: LikelihoodRatioEnsemble, rng):
+    """The seed's one stream, drawn and fused from rng where seed_data left it.
+
+    The adapter runs once on the fused log-LRs, and the ledger charges that
+    run against the oracle.  Returns (features, labels, fused, ledger, trace).
+    """
     scenario = StreamScenario(parsed["problem"], parsed["trajectory"], parsed["horizon"])
-    return run_regret_experiment(scenario, parsed["adapter"],
-                                 np.random.default_rng(seed + 1))[0]
+    stream = scenario.draw(rng)
+    fused = ensemble.fused_log_lr_batch(stream[0], rng)
+    ledger, trace = run_regret_experiment(scenario, parsed["adapter"], stream, fused)
+    return stream[0], stream[1], fused, ledger, trace
 
 
 def run_single_seed(parsed: dict, seed: int):
-    problem = gaussian_problem(parsed, "run")
+    gaussian_problem(parsed, "run")
     dataset, rng = seed_data(parsed, seed)
     ensemble, vanilla, cal_part = fit_ensemble(parsed, dataset, seed, with_vanilla=True)
-    feats, labels, _ = stream_features_labels(problem, parsed["trajectory"],
-                                              parsed["horizon"], rng)
-    results, trace = evaluate_on_stream(ensemble, vanilla, feats, labels,
-                                        parsed, rng, calibration=cal_part)
-    return {"metrics": results, "trace": trace, "regret": regret_ledger(parsed, seed)}
+    feats, labels, fused, ledger, trace = seed_stream(parsed, ensemble, rng)
+    results = evaluate_on_stream(vanilla, feats, labels, parsed, calibration=cal_part)
+    results["obil"] = adaptive_metrics(fused, labels, trace)
+    return {"metrics": results, "trace": trace, "regret": ledger}
 
 
 def write_trace(path, trace):

@@ -54,9 +54,13 @@ class GaussianProblem:
         mu = np.where(y[:, None] == 1, self.mu1, self.mu0)
         return mu + rng.normal(0.0, np.sqrt(self.sigma2), size=(len(y), self.dim))
 
+    def draw(self, p1s, rng: np.random.Generator):
+        """(features, labels): labels from one rng.random against priors p1s, then features."""
+        labels = (rng.random(len(p1s)) < p1s).astype(int)
+        return self.sample(labels, rng), labels
+
     def sample_dataset(self, n: int, p1: float, rng: np.random.Generator) -> LabeledDataset:
-        y = (rng.random(n) < p1).astype(int)
-        return LabeledDataset(self.sample(y, rng), y)
+        return LabeledDataset(*self.draw(np.full(n, p1), rng))
 
 
 TRAJECTORY_KINDS = ("constant", "abrupt", "linear_drift")
@@ -114,9 +118,18 @@ class StreamScenario:
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
 
+    def draw(self, rng: np.random.Generator):
+        """The whole stream as (features, labels, true priors), in one draw."""
+        p1s = np.array([self.trajectory.p1_at(t) for t in range(self.horizon)])
+        return (*self.problem.draw(p1s, rng), p1s)
+
 
 def sample_step(scenario: StreamScenario, t: int, rng: np.random.Generator):
-    """Draw (x, y, true p1) for step t."""
+    """Draw (x, y, true p1) for step t.
+
+    obil draws its streams with StreamScenario.draw and no longer calls this;
+    it is kept because perfbench/tracing.py looks it up by name.
+    """
     p1 = scenario.trajectory.p1_at(t)
     y = int(rng.random() < p1)
     x = scenario.problem.sample(np.array([y]), rng)[0]
@@ -158,30 +171,23 @@ class RegretLedger:
 
 
 def run_regret_experiment(scenario: StreamScenario, adapter_cfg: AdapterConfig,
-                          rng: np.random.Generator, log_lr_source=None):
-    """Stream the scenario through the adapter and the oracle policy.
+                          stream, log_lrs=None):
+    """Run the adapter on a drawn stream and charge it against the oracle.
 
-    log_lr_source maps a feature vector to a log likelihood ratio; None uses
-    the scenario's analytic ratio.  A false alarm costs qc and a miss costs
-    1, the structure whose Bayes cut is oracle_threshold.  Cumulative regret
-    accumulates expected (posterior-averaged) losses; realized losses are
-    recorded alongside.  The stream is drawn per step; the analytic ratio is
-    then scored once over the whole stream (a log_lr_source is called once a
-    row), and the adapter steps through it in stream order.  The oracle and
-    the losses are computed over the whole stream at once.  Returns
-    (RegretLedger, adapter trace).
+    stream is scenario.draw(rng); the adapter reads log_lrs, one a row, or
+    with None the analytic ratio, which the oracle reads with the true prior.
+    A false alarm costs qc and a miss 1, the costs whose Bayes cut is
+    oracle_threshold.  Cumulative regret sums expected (posterior-averaged)
+    losses; realized losses are recorded alongside.  Returns (RegretLedger,
+    adapter trace).
     """
-    state = init(adapter_cfg)
+    x, ys, p1s = stream
     T = scenario.horizon
-    xs = []
-    ys = np.zeros(T, dtype=int)
-    p1s = np.zeros(T)
-    for i in range(T):
-        x, ys[i], p1s[i] = sample_step(scenario, i, rng)
-        xs.append(x)
-    x = np.array(xs)
     true_log_lr = scenario.problem.log_lr(x)
-    log_lrs = true_log_lr if log_lr_source is None else [log_lr_source(row) for row in xs]
+    log_lrs = true_log_lr if log_lrs is None else np.asarray(log_lrs, dtype=float)
+    if not len(ys) == len(p1s) == len(true_log_lr) == len(log_lrs) == T:
+        raise ValueError(f"the stream and its log-LRs must have {T} rows")
+    state = init(adapter_cfg)
     trace = []
     preds = np.zeros(T, dtype=int)
     for i in range(T):

@@ -246,7 +246,7 @@ def test_criterion_10_sublinear_regret():
         scenario = StreamScenario(problem, traj, horizon=T)
         ledger, _ = run_regret_experiment(
             scenario, AdapterConfig(initial_p1=0.2),
-            np.random.default_rng(1000 + seed))
+            scenario.draw(np.random.default_rng(1000 + seed)))
         curves.append(ledger.cum_regret)
     mean_curve = np.mean(curves, axis=0)
     t = np.arange(1, T + 1)

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from obil import experiment, mlp
-from obil.bayes import PRIOR_FLOOR
+from obil.bayes import PRIOR_FLOOR, cost_sensitive_loss
 from obil.cli import main
 from obil.data import LabeledDataset
-from obil.ensemble import EnsembleConfig, LikelihoodRatioEnsemble, load_ensemble
+from obil.ensemble import load_ensemble
 from obil.experiment import (ConfigError, _aggregate, ingest_csv, parse_config,
                              write_csv)
+from obil.simulate import StreamScenario
 
 
 def base_config(**overrides):
@@ -354,8 +355,8 @@ class TestPipeline:
     @pytest.mark.parametrize("seed_args", [[], ["--seed", "2"]])
     def test_simulate_and_regret_write_run_seed_bytes(self, tmp_path, seed_args):
         # each command runs `obil run`'s stages for its seed: the training
-        # draw, then the stream from the same generator, and the regret
-        # stream from default_rng(seed + 1)
+        # draw, the ensemble fit, then the one stream from the same generator,
+        # whose adapter run the regret ledger charges
         cfg = write_config(tmp_path)
         seed = int(seed_args[1]) if seed_args else 0
         for command in ("run", "simulate", "regret"):
@@ -367,15 +368,34 @@ class TestPipeline:
         assert (tmp_path / "regret" / "regret.tsv").read_bytes() == \
             (seed_dir / "regret.tsv").read_bytes()
 
+    def test_regret_charges_the_traced_adapter_run(self, tmp_path):
+        # regret.tsv's algorithm losses are those of trace.jsonl's decisions
+        # on the seed's stream, drawn right after its training data
+        cfg = write_config(tmp_path, seeds=[0, 1])
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        parsed = parse_config(base_config(seeds=[0, 1]))
+        for seed in (0, 1):
+            _, rng = experiment.seed_data(parsed, seed)
+            scenario = StreamScenario(parsed["problem"], parsed["trajectory"], parsed["horizon"])
+            labels = scenario.draw(rng)[1]
+            seed_dir = tmp_path / "run" / f"seed_{seed}"
+            preds = [json.loads(line)["prediction"]
+                     for line in (seed_dir / "trace.jsonl").read_text().splitlines()]
+            rows = [line.split("\t") for line in
+                    (seed_dir / "regret.tsv").read_text().splitlines()[1:]]
+            alg_loss = np.array([float(row[1]) for row in rows])
+            want = cost_sensitive_loss(np.array(preds), labels, parsed["adapter"].qc)
+            assert alg_loss.tobytes() == want.tobytes(), seed
+
     def test_train_saves_the_temperatures_run_scores_with(self, tmp_path, monkeypatch):
         scored = []
-        real = experiment.evaluate_on_stream
+        real = experiment.seed_stream
 
-        def spy(ensemble, *args, **kwargs):
+        def spy(parsed, ensemble, rng):
             scored.append([m.temperature for m in ensemble.members])
-            return real(ensemble, *args, **kwargs)
+            return real(parsed, ensemble, rng)
 
-        monkeypatch.setattr(experiment, "evaluate_on_stream", spy)
+        monkeypatch.setattr(experiment, "seed_stream", spy)
         cfg = write_config(tmp_path, loss="xent_sigmoid")
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "train")]) == 0
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
@@ -408,9 +428,6 @@ class TestEvaluateOnStream:
         # one vanilla forward over the stream gives the log-LRs and the
         # posteriors; threshold moving and BBSE share one over the
         # calibration split
-        net = mlp.NetworkConfig(input_dim=1, hidden_dims=(2,), dropout_rate=0.1)
-        ensemble = LikelihoodRatioEnsemble([mlp.init_scorer(net, 1.0, "squared")],
-                                           EnsembleConfig((1.0,), mc_samples=5))
         # relu units x+ and x-: tanh(2x) is above 0 exactly when x > 0
         vanilla = mlp.CalibratedScorer([np.array([[1.0, -1.0]]), np.array([[2.0], [-2.0]])],
                                        [np.zeros(2), np.zeros(1)], "relu", 0.0, 3.0,
@@ -424,10 +441,9 @@ class TestEvaluateOnStream:
                                      cal_labels)
         parsed = parse_config(base_config(baselines=["vanilla", "threshold_moving",
                                                      "logit_adjustment", "bbse"]))
-        results, _ = experiment.evaluate_on_stream(ensemble, vanilla, feats, labels, parsed,
-                                                   rng, calibration=calibration)
-        assert set(results) == {"obil", "vanilla", "threshold_moving",
-                                "logit_adjustment", "bbse"}
+        results = experiment.evaluate_on_stream(vanilla, feats, labels, parsed,
+                                                calibration=calibration)
+        assert set(results) == {"vanilla", "threshold_moving", "logit_adjustment", "bbse"}
         assert rows == [40, 30]
 
 

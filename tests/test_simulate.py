@@ -50,6 +50,15 @@ class TestGaussianProblem:
         ds = unit_problem().sample_dataset(20000, 0.1, np.random.default_rng(1))
         assert abs(ds.labels.mean() - 0.1) < 0.01
 
+    def test_sample_dataset_is_a_constant_prior_stream(self):
+        # one drawer: a dataset is the stream of a constant prior, bit for bit
+        ds = unit_problem().sample_dataset(500, 0.2, np.random.default_rng(6))
+        scenario = StreamScenario(unit_problem(), PriorTrajectory(p_before=0.2), horizon=500)
+        feats, labels, p1s = scenario.draw(np.random.default_rng(6))
+        assert ds.features.tobytes() == feats.tobytes()
+        assert ds.labels.tobytes() == labels.tobytes()
+        assert np.all(p1s == 0.2)
+
 
 class TestPriorTrajectory:
     def test_constant(self):
@@ -162,9 +171,12 @@ class TestRunRegretExperiment:
         traj = PriorTrajectory(kind="constant", p_before=0.3)
         return StreamScenario(unit_problem(), traj, horizon=horizon)
 
+    def run(self, scenario, cfg, seed, log_lrs=None):
+        stream = scenario.draw(np.random.default_rng(seed))
+        return run_regret_experiment(scenario, cfg, stream, log_lrs)
+
     def test_ledger_shapes(self):
-        ledger, trace = run_regret_experiment(self.scenario(), AdapterConfig(),
-                                              np.random.default_rng(0))
+        ledger, trace = self.run(self.scenario(), AdapterConfig(), 0)
         assert len(trace) == 300
         for arr in (ledger.alg_loss, ledger.oracle_loss, ledger.cum_regret):
             assert arr.shape == (300,)
@@ -175,16 +187,13 @@ class TestRunRegretExperiment:
         # regret never decreases, for every seed and cost ratio
         for qc in (1.0, 0.3, 3.0):
             for seed in range(20):
-                ledger, _ = run_regret_experiment(
-                    self.scenario(horizon=150), AdapterConfig(qc=qc, initial_p1=0.5),
-                    np.random.default_rng(seed))
+                ledger, _ = self.run(self.scenario(horizon=150),
+                                     AdapterConfig(qc=qc, initial_p1=0.5), seed)
                 increments = np.diff(np.concatenate([[0.0], ledger.cum_regret]))
                 assert np.all(increments >= -1e-12), (qc, seed)
 
     def test_realized_losses_are_cost_values(self):
-        cfg = AdapterConfig(qc=3.0)
-        ledger, _ = run_regret_experiment(self.scenario(horizon=200), cfg,
-                                          np.random.default_rng(2))
+        ledger, _ = self.run(self.scenario(horizon=200), AdapterConfig(qc=3.0), 2)
         assert set(np.unique(ledger.alg_loss)) <= {0.0, 1.0, 3.0}
         assert set(np.unique(ledger.oracle_loss)) <= {0.0, 1.0, 3.0}
 
@@ -193,39 +202,44 @@ class TestRunRegretExperiment:
         # oracle decisions exactly, so regret is identically zero
         cfg = AdapterConfig(initial_p1=0.3, gamma=0.999999, delta_max=1e-12,
                             alpha=1e-12)
-        ledger, _ = run_regret_experiment(self.scenario(horizon=200), cfg,
-                                          np.random.default_rng(3))
+        ledger, _ = self.run(self.scenario(horizon=200), cfg, 3)
         np.testing.assert_allclose(ledger.cum_regret, 0.0, atol=1e-12)
 
     def test_custom_log_lr_source(self):
-        # an inverted ratio source makes the algorithm strictly worse
+        # an inverted ratio makes the algorithm strictly worse
         scenario = self.scenario(horizon=400)
-        bad = lambda x: -float(scenario.problem.log_lr(x))
+        stream = scenario.draw(np.random.default_rng(4))
+        bad = -scenario.problem.log_lr(stream[0])
         ledger, _ = run_regret_experiment(scenario, AdapterConfig(initial_p1=0.3),
-                                          np.random.default_rng(4), log_lr_source=bad)
+                                          stream, bad)
         assert ledger.cum_regret[-1] > 1.0
+
+    def test_log_lrs_must_cover_the_stream(self):
+        scenario = self.scenario(horizon=20)
+        stream = scenario.draw(np.random.default_rng(5))
+        with pytest.raises(ValueError, match="20 rows"):
+            run_regret_experiment(scenario, AdapterConfig(), stream, np.zeros(19))
 
     @pytest.mark.parametrize("qc", [1.0, 3.0])
     @pytest.mark.parametrize("source", ["analytic", "custom"])
     def test_matches_per_step_reference(self, qc, source):
         # the ledger computed over the whole stream equals a step-by-step
-        # reference driven by a twin generator, bit for bit
+        # reference over the drawn stream's rows, bit for bit
         scenario = StreamScenario(
             GaussianProblem(mu0=np.full(3, -0.5), mu1=np.full(3, 0.5)),
             PriorTrajectory(kind="linear_drift", p_start=0.05, slope=1e-3, p_cap=0.4),
             horizon=400)
-        custom = lambda x: 0.7 * float(scenario.problem.log_lr(x)) - 0.2
-        log_lr_source = None if source == "analytic" else custom
+        stream = scenario.draw(np.random.default_rng(11))
+        custom = lambda x: 0.7 * scenario.problem.log_lr(x) - 0.2
+        source_fn = scenario.problem.log_lr if source == "analytic" else custom
         cfg = AdapterConfig(qc=qc, initial_p1=0.2)
-        got, got_trace = run_regret_experiment(scenario, cfg, np.random.default_rng(11),
-                                               log_lr_source=log_lr_source)
+        got, got_trace = run_regret_experiment(
+            scenario, cfg, stream, None if source == "analytic" else custom(stream[0]))
 
-        rng = np.random.default_rng(11)
         state = init(cfg)
         rows, trace, cum = [], [], 0.0
-        for i in range(scenario.horizon):
-            x, y, p1 = sample_step(scenario, i, rng)
-            pred, record = step(state, float((log_lr_source or scenario.problem.log_lr)(x)))
+        for x, y, p1 in zip(*stream):
+            pred, record = step(state, float(source_fn(x)))
             trace.append(record)
             pred_star = oracle_decision(float(scenario.problem.log_lr(x)), qc, p1)
             post = float(scenario.problem.posterior(x, p1))
@@ -247,16 +261,13 @@ class TestRunRegretExperiment:
         scenario = StreamScenario(
             GaussianProblem(mu0=np.array([-40.0]), mu1=np.array([40.0]), sigma2=1.0),
             PriorTrajectory(kind="constant", p_before=0.3), horizon=50)
-        ledger, _ = run_regret_experiment(scenario, AdapterConfig(),
-                                          np.random.default_rng(0))
+        ledger, _ = self.run(scenario, AdapterConfig(), 0)
         for arr in (ledger.alg_expected, ledger.oracle_expected, ledger.cum_regret):
             assert np.all(np.isfinite(arr))
 
     def test_deterministic_given_rng_seed(self):
-        a, _ = run_regret_experiment(self.scenario(), AdapterConfig(),
-                                     np.random.default_rng(7))
-        b, _ = run_regret_experiment(self.scenario(), AdapterConfig(),
-                                     np.random.default_rng(7))
+        a, _ = self.run(self.scenario(), AdapterConfig(), 7)
+        b, _ = self.run(self.scenario(), AdapterConfig(), 7)
         np.testing.assert_array_equal(a.cum_regret, b.cum_regret)
 
     def test_rows_iteration(self):

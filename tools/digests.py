@@ -20,10 +20,13 @@ The commands, each through `obil.cli.main` in this process:
   run in blocks of 8, 8, 8 and 6 on one CPU, or of 4, 4, 4 and 3 on each of
   two threads.
 
-`obil simulate` and `obil regret` run `obil run`'s stages for seed 0, so
+`obil simulate` and `obil regret` run `obil run`'s stages for seed 0: they
+fit the ensemble, then draw, fuse and charge the seed's one stream.  So
 `simulate/trace.jsonl` equals `readme/seed_0/trace.jsonl` and
 `regret/regret.tsv` equals `readme/seed_0/regret.tsv`: the two pairs of
-lines print the same digest by design.
+lines print the same digest by design.  The streams of the per-query path
+and the batch come from `StreamScenario.draw`, the drawer of every obil
+stream.
 
 Each line is `<first 8 hex digits of sha256> <path under the output
 directory>`, sorted by path.  Two checkouts that print the same lines wrote
@@ -84,17 +87,18 @@ def write_outputs(root: Path, out: Path):
 
     from obil.adapter import run_stream
     from obil.ensemble import load_ensemble
-    from obil.experiment import parse_config, stream_features_labels, write_trace
+    from obil.experiment import parse_config, write_trace
+    from obil.simulate import StreamScenario
     parsed = parse_config(readme)
     rng = np.random.default_rng(0)
-    feats, _, _ = stream_features_labels(parsed["problem"], parsed["trajectory"], QUERIES, rng)
+    feats, _, _ = StreamScenario(parsed["problem"], parsed["trajectory"], QUERIES).draw(rng)
     ensemble = load_ensemble(out / "train" / "ensemble.bin")
     trace = run_stream(ensemble, feats, parsed["adapter"], rng)
     (out / "query").mkdir()
     write_trace(out / "query" / "trace.jsonl", trace)
 
-    feats, _, _ = stream_features_labels(parsed["problem"], parsed["trajectory"],
-                                         BATCH_ROWS, np.random.default_rng(1))
+    feats, _, _ = StreamScenario(parsed["problem"], parsed["trajectory"],
+                                 BATCH_ROWS).draw(np.random.default_rng(1))
     fused = ensemble.fused_log_lr_batch(feats, np.random.default_rng(250))
     (out / "batch").mkdir()
     (out / "batch" / "fused.bin").write_bytes(fused.tobytes())

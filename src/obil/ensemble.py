@@ -61,9 +61,6 @@ class LikelihoodRatioEnsemble:
     members: list
     config: EnsembleConfig
 
-    def member_log_lr(self, k: int, x):
-        return self.members[k].log_lr(x)
-
     def member_log_lrs(self, x, rng: np.random.Generator):
         """Log-LRs and MC-dropout variances, two (K, n) arrays for n rows:
         one mc_dropout_log_lr call a member, members in order.

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .losses import cross_entropy_sigmoid, sigmoid
+from .losses import cross_entropy_sigmoid
 
 DEFAULT_BINS = 15
 
@@ -165,7 +165,3 @@ def fit_temperature(logits, labels, lo: float = 0.05, hi: float = 20.0,
     at_boundary = t_opt - lo < 10 * tol or hi - t_opt < 10 * tol
     return t_opt, at_boundary
 
-
-def apply_temperature(logits, temperature: float):
-    """Calibrated posterior sigma(z / T)."""
-    return sigmoid(np.asarray(logits, dtype=float) / temperature)

@@ -108,7 +108,7 @@ def test_criterion_04_learned_transfer():
     truth = 2.0 * grid[:, 0]
     rmses = []
     for k in range(3):
-        got = np.atleast_1d(ens.member_log_lr(k, grid))
+        got = np.atleast_1d(ens.members[k].log_lr(grid))
         rmses.append(float(np.sqrt(np.mean((got - truth) ** 2))))
     fused = ens.fused_log_lr_batch(grid, np.random.default_rng(0))
     fused_rmse = float(np.sqrt(np.mean((fused - truth) ** 2)))

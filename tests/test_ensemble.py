@@ -48,15 +48,15 @@ class TestMemberLogLr:
     def test_zero_output_unit_ratio(self):
         ens = LikelihoodRatioEnsemble([constant_scorer(0.0)],
                                       EnsembleConfig(target_qps=(1.0,)))
-        assert ens.member_log_lr(0, np.array([0.0])) == pytest.approx(0.0)
+        assert ens.members[0].log_lr(np.array([0.0])) == pytest.approx(0.0)
 
     def test_formula(self):
         ens = LikelihoodRatioEnsemble(
             [constant_scorer(0.5, 1.0), constant_scorer(0.5, 2.0)],
             EnsembleConfig(target_qps=(1.0, 2.0)))
         x = np.array([0.0])
-        assert ens.member_log_lr(0, x) == pytest.approx(np.log(3.0))
-        assert ens.member_log_lr(1, x) == pytest.approx(np.log(6.0))
+        assert ens.members[0].log_lr(x) == pytest.approx(np.log(3.0))
+        assert ens.members[1].log_lr(x) == pytest.approx(np.log(6.0))
 
 
 class TestFusionWeights:
@@ -113,7 +113,7 @@ class TestFusedLogLr:
                                       EnsembleConfig(target_qps=(1.0,)))
         x = np.array([0.0])
         assert ens.fused_log_lr(x, np.random.default_rng(0)) == pytest.approx(
-            float(ens.member_log_lr(0, x)))
+            float(ens.members[0].log_lr(x)))
 
     def test_masked_member(self, monkeypatch):
         # the variances are (K, n); one query is n = 1.  Fusion reads the
@@ -135,7 +135,7 @@ class TestFusedLogLr:
             target_qps=(1.0, 2.0, 5.0)))
         for _ in range(25):
             x = rng.normal(0, 2, 1)
-            logs = [float(ens.member_log_lr(k, x)) for k in range(3)]
+            logs = [float(ens.members[k].log_lr(x)) for k in range(3)]
             fused = ens.fused_log_lr(x, rng)
             assert min(logs) - 1e-12 <= fused <= max(logs) + 1e-12
 

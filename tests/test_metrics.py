@@ -3,9 +3,20 @@ import itertools
 import numpy as np
 import pytest
 
-from obil.metrics import (ConfusionCounts, FitFailure, apply_temperature,
-                          auprc, ece, ece_from_posteriors, f1, fit_temperature,
-                          g_mean, reliability_bins)
+from obil.metrics import (ConfusionCounts, FitFailure, auprc, ece,
+                          ece_from_posteriors, f1, fit_temperature, g_mean,
+                          reliability_bins)
+from obil.mlp import CalibratedScorer
+
+
+def tempered_posterior(logits, temperature):
+    """sigma(z / T) from CalibratedScorer.forward of a logit-space scorer
+    whose logit is its input: forward gives tanh(z / 2T) = 2 sigma(z / T) - 1.
+    """
+    scorer = CalibratedScorer(weights=[np.ones((1, 1))], biases=[np.zeros(1)],
+                              activation="relu", dropout_rate=0.0, training_qp=1.0,
+                              loss_tag="xent_sigmoid", temperature=temperature)
+    return (1.0 + scorer.forward(np.asarray(logits, dtype=float)[..., None])) / 2.0
 
 
 def brute_force_auprc(scores, labels):
@@ -211,17 +222,17 @@ class TestFitTemperature:
         y = rng.integers(0, 2, 200)
         base = auprc(z, y).value
         for temp in (0.3, 1.0, 4.0):
-            p = apply_temperature(z, temp)
+            p = tempered_posterior(z, temp)
             assert np.all(np.diff(p[np.argsort(z)]) >= 0)
             assert auprc(p, y).value == pytest.approx(base)
 
 
 class TestApplyTemperature:
     def test_examples(self):
-        assert apply_temperature(0.0, 1.0) == pytest.approx(0.5)
-        assert apply_temperature(np.array([2.0]), 2.0)[0] == pytest.approx(
+        assert tempered_posterior(0.0, 1.0) == pytest.approx(0.5)
+        assert tempered_posterior(np.array([2.0]), 2.0)[0] == pytest.approx(
             1.0 / (1.0 + np.exp(-1.0)))
 
     def test_high_temperature_shrinks_toward_half(self):
-        p = apply_temperature(np.array([-5.0, 5.0]), 100.0)
+        p = tempered_posterior(np.array([-5.0, 5.0]), 100.0)
         assert np.all(np.abs(p - 0.5) < 0.02)

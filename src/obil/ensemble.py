@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .data import LabeledDataset, stratified_split
+from .data import LabeledDataset
 from .mlp import (NetworkConfig, ShapeError, TrainingConfig, load_scorer_bytes,
                   mc_dropout_log_lr, save_scorer_bytes, train)
 from .resampling import RESAMPLE_METHODS, AssociatedProblemSpec, make_associated
@@ -33,7 +33,6 @@ class EnsembleConfig:
     target_qps: tuple = (1.0, 2.0, 5.0, 10.0)
     fusion_temperature: float = 1.0
     mc_samples: int = 30
-    calibration_fraction: float = 0.15
     resample_method: str = "undersample"
 
     def __post_init__(self):
@@ -44,8 +43,6 @@ class EnsembleConfig:
             raise ValueError("target imbalance ratios must be finite and positive")
         if not (np.isfinite(self.fusion_temperature) and self.fusion_temperature > 0):
             raise ValueError("fusion temperature must be finite and positive")
-        if not (0.0 < self.calibration_fraction < 1.0):
-            raise ValueError("calibration_fraction must lie in (0, 1)")
         if self.mc_samples < 2:
             raise ValueError("need at least two MC samples")
         if self.resample_method not in RESAMPLE_METHODS:
@@ -102,26 +99,20 @@ def train_ensemble(dataset: LabeledDataset, cfg: EnsembleConfig,
                    loss_name: str = "squared", seed: int = 0) -> LikelihoodRatioEnsemble:
     """Train one member per target ratio on independent resamples.
 
-    A calibration split is reserved before any resampling; members train on
-    the remainder, each on its own rebalanced copy with a derived seed.
+    Every member trains on a rebalanced copy of the given rows, with its own
+    derived seed; no rows are held out here.
     """
     dataset.require_both_classes()
-    _cal, train_part = stratified_split(dataset, [cfg.calibration_fraction], seed=seed)
-    if train_part.n_positive == 0 or train_part.n_negative == 0:
-        train_part = dataset
     members = []
     for k, target_qp in enumerate(cfg.target_qps):
-        member_seed = derive_member_seed(seed, k)
+        member_seed = derive_member_seed(seed, k) & 0x7FFFFFFF
         assoc = make_associated(
-            train_part,
+            dataset,
             AssociatedProblemSpec(target_qp=target_qp, method=cfg.resample_method,
-                                  seed=member_seed & 0x7FFFFFFF),
+                                  seed=member_seed),
         )
-        member_cfg = NetworkConfig(net_cfg.input_dim, net_cfg.hidden_dims,
-                                   net_cfg.activation, net_cfg.dropout_rate,
-                                   seed=member_seed & 0x7FFFFFFF)
-        scorer = train(assoc, member_cfg, train_cfg, loss_name)
-        members.append(scorer)
+        members.append(train(assoc, replace(net_cfg, seed=member_seed),
+                             train_cfg, loss_name))
     return LikelihoodRatioEnsemble(members, cfg)
 
 

@@ -129,7 +129,8 @@ class TestParseConfig:
 
 # (section, key, value) with a key that no command reads
 UNKNOWN_KEYS = [(None, "seed", 5), ("network", "dropout", 0.5),
-                ("scenario", "horizen", 10), ("adapter", "prior_floor", 0.1)]
+                ("scenario", "horizen", 10), ("adapter", "prior_floor", 0.1),
+                ("ensemble", "calibration_fraction", 0.15)]
 
 
 class TestCliExitCodes:
@@ -188,9 +189,6 @@ class TestCliExitCodes:
         ("run", "ensemble", "fusion_temperature", float("nan")),
         ("run", "ensemble", "target_qps", [1.0, -1.0]),
         ("run", "ensemble", "target_qps", [float("nan")]),
-        ("run", "ensemble", "calibration_fraction", 0),
-        ("run", "ensemble", "calibration_fraction", 1.5),
-        ("run", "ensemble", "calibration_fraction", -0.5),
         ("run", "adapter", "qc", float("nan")),
         ("run", "adapter", "qc", float("inf")),
         ("run", "adapter", "initial_p1", float("nan")),

@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from obil.ensemble import (EnsembleConfig, LikelihoodRatioEnsemble,
                            derive_member_seed, load_ensemble_bytes,
                            save_ensemble_bytes, train_ensemble)
 from obil.mlp import (CalibratedScorer, NetworkConfig, ShapeError,
-                      TrainingConfig, init_scorer)
+                      TrainingConfig, init_scorer, train)
 
 
 def constant_scorer(output, training_qp=1.0, dropout=0.0):
@@ -234,13 +237,29 @@ class TestTrainEnsemble:
         b = train_ensemble(ds, cfg, net, tc, seed=5)
         assert save_ensemble_bytes(a) == save_ensemble_bytes(b)
 
+    def test_member_trains_on_every_given_row(self):
+        # a target at the data's own ratio leaves the rows as they are, so
+        # the member is the net that train fits on all of them with the
+        # member's seed: no rows are held out
+        ds = imbalanced_dataset(n0=300, n1=100, seed=3)
+        net = NetworkConfig(input_dim=1, hidden_dims=(6,), dropout_rate=0.1)
+        tc = TrainingConfig(max_epochs=3)
+        ens = train_ensemble(ds, EnsembleConfig(target_qps=(ds.imbalance_ratio,)),
+                             net, tc, seed=7)
+        ref = train(ds, replace(net, seed=derive_member_seed(7, 0) & 0x7FFFFFFF), tc)
+        member = ens.members[0]
+        assert np.float64(member.training_qp).tobytes() == \
+            np.float64(ref.training_qp).tobytes()
+        for got, want in zip(member.parameters(), ref.parameters(), strict=True):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestSerialization:
     def test_round_trip_identical_predictions(self):
         members = [constant_scorer(0.2, 1.0), constant_scorer(-0.1, 3.0)]
         ens = LikelihoodRatioEnsemble(members, EnsembleConfig(
             target_qps=(1.0, 3.0), fusion_temperature=0.7, mc_samples=11,
-            calibration_fraction=0.2, resample_method="oversample"))
+            resample_method="oversample"))
         clone = load_ensemble_bytes(save_ensemble_bytes(ens))
         assert clone.config == ens.config
         xs = np.random.default_rng(1).normal(0, 1, (1000, 1))
@@ -251,6 +270,23 @@ class TestSerialization:
     def test_magic_guard(self):
         with pytest.raises(ValueError):
             load_ensemble_bytes(b"garbage\n{}\n")
+
+    def test_header_with_retired_field_loads(self):
+        # files written while EnsembleConfig had calibration_fraction carry
+        # it in the header; the loader reads only the fields it knows
+        members = [constant_scorer(0.2, 1.0), init_scorer(NetworkConfig(
+            input_dim=1, hidden_dims=(6,), dropout_rate=0.3, seed=2), 3.0, "squared")]
+        data = save_ensemble_bytes(LikelihoodRatioEnsemble(members, EnsembleConfig(
+            target_qps=(1.0, 3.0), mc_samples=11)))
+        magic, header, blobs = data.split(b"\n", 2)
+        old = {**json.loads(header), "calibration_fraction": 0.15}
+        old_data = b"\n".join([magic, json.dumps(old).encode(), blobs])
+        clone, older = load_ensemble_bytes(data), load_ensemble_bytes(old_data)
+        assert older.config == clone.config
+        xs = np.random.default_rng(1).normal(0, 1, (200, 1))
+        np.testing.assert_array_equal(
+            older.fused_log_lr_batch(xs, np.random.default_rng(0)),
+            clone.fused_log_lr_batch(xs, np.random.default_rng(0)))
 
 
 class TestEnsembleConfig:

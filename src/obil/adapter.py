@@ -8,7 +8,6 @@ gate plus a per-step stability clamp before refreshing the threshold.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -46,6 +45,14 @@ class AdapterConfig:
             raise ValueError("prior_floor must lie in (0, 0.5)")
 
 
+# One trace line, in StepRecord's field order: json.dumps(record.__dict__)'s
+# bytes for a record whose floats are finite, as step makes them.
+_TRACE_LINE = ('{"t": %d, "log_lr": %s, "prediction": %d, "p_lr": %s, "p_freq": %s, '
+               '"p_comb": %s, "updated": %s, "clamped": %s, "p1_hat_after": %s, '
+               '"threshold_after": %s}')
+_JSON_BOOL = {False: "false", True: "true"}
+
+
 @dataclass
 class StepRecord:
     t: int
@@ -60,7 +67,16 @@ class StepRecord:
     threshold_after: float
 
     def to_json(self) -> str:
-        return json.dumps(self.__dict__)
+        """The record as one JSON object, from one fixed template.
+
+        Floats print through float.__repr__, as json.dumps prints them;
+        repr of an np.float64 would print np.float64(...) under numpy 2.
+        """
+        num = float.__repr__
+        return _TRACE_LINE % (self.t, num(self.log_lr), self.prediction, num(self.p_lr),
+                              num(self.p_freq), num(self.p_comb), _JSON_BOOL[self.updated],
+                              _JSON_BOOL[self.clamped], num(self.p1_hat_after),
+                              num(self.threshold_after))
 
 
 @dataclass
@@ -136,11 +152,6 @@ def step(state: AdapterState, log_lr: float):
         threshold_after=state.threshold_q,
     )
     return prediction, record
-
-
-def run_stream(ensemble, features, config: AdapterConfig, rng):
-    """Fuse log-LRs per instance and advance the adapter in arrival order."""
-    return run_log_lr_stream((ensemble.fused_log_lr(x, rng) for x in features), config)
 
 
 def run_log_lr_stream(log_lrs, config: AdapterConfig):

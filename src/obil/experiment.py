@@ -385,7 +385,12 @@ def seed_data(parsed: dict, seed: int):
 
 
 def split_data(parsed: dict, dataset: LabeledDataset, seed: int):
-    """A seed's train / calibration / test parts and its network config."""
+    """A seed's train / calibration / test parts and its network config.
+
+    The test part is held out for `obil calibrate` alone, which reports a
+    fresh net's ECE on it before and after the temperature fit; `obil run`,
+    `train`, `simulate` and `regret` (through fit_ensemble) never read it.
+    """
     dataset.require_both_classes()
     parts = stratified_split(dataset, DEFAULT_SPLIT[:2], seed=seed)
     return parts, NetworkConfig(input_dim=dataset.dim, seed=seed, **parsed["network_kwargs"])
@@ -395,8 +400,9 @@ def fit_ensemble(parsed: dict, dataset: LabeledDataset, seed: int, with_vanilla=
     """Split the data and train the ensemble, and with_vanilla a plain net too.
 
     Under a logit-space loss each net's temperature is then fitted on the
-    calibration part, unless that part lacks a class.  Returns (ensemble,
-    vanilla net or None, calibration part).
+    calibration part, unless that part lacks a class.  The test part is
+    not read: it is held out for `obil calibrate`'s ECE (see split_data).
+    Returns (ensemble, vanilla net or None, calibration part).
     """
     (train_part, cal_part, _test_part), net_cfg = split_data(parsed, dataset, seed)
     ens_cfg = ensemble_config_from(parsed, train_part.imbalance_ratio)

@@ -105,21 +105,26 @@ class CalibratedScorer:
         Leading axes of x (such as MC passes) broadcast.  Dropout is on
         exactly when `masks` supplies the boolean keep-masks, one per hidden
         layer, broadcasting against that layer's activation; this method
-        draws no random numbers.  `first` is layer 1's unmasked activation
-        act(x @ W1 + b1) when the caller has already computed it; x is then
-        only checked.  Without a record, each layer's bias, activation and
-        mask are applied in place on its matmul output, so a layer holds one
-        array, not z, act(z) and their product; large temporaries freed and
-        reallocated every pass are what make the allocator return and
-        re-fault their pages.  A mask entry is exactly 1/keep or 0, so
-        multiplying by the boolean mask and then by 1/keep gives the same
-        bits as multiplying by the float mask.  With a record, each
+        draws no random numbers.  With a record (training, _batch_masks'
+        masks) kept activations are scaled by 1/keep; without one (MC
+        inference, _draw_masks' lane masks, kept with probability k / 2**16
+        for k = _lane_keep(keep)) by 2**16 / k.  `first` is layer 1's
+        unmasked activation act(x @ W1 + b1) when the caller has already
+        computed it; x is then only checked.  Without a record, each layer's
+        bias, activation and mask are applied in place on its matmul
+        output, so a layer holds one array, not z, act(z) and their product;
+        large temporaries freed and reallocated every pass are what make
+        the allocator return and re-fault their pages.  With a record, each
         layer's input, z and float mask masks[i] / keep (None without
-        dropout) are kept for backprop.
+        dropout) are kept for backprop; a float mask entry is exactly 1/keep
+        or 0, so multiplying by it gives the bits of multiplying by the
+        boolean mask and then by 1/keep.
         """
         self._check_input(x)
         h = x
         keep = 1.0 - self.dropout_rate
+        if masks is not None and record is None:
+            scale = _LANE_VALUES / _lane_keep(keep)
         for i in range(len(self.weights) - 1):
             if i == 0 and first is not None:
                 z, a = None, first
@@ -140,7 +145,7 @@ class CalibratedScorer:
                         a = a * masks[i]
                     else:
                         a *= masks[i]
-                    a *= 1.0 / keep
+                    a *= scale
             if record is not None:
                 record.append((h, z, mask))
             h = a
@@ -214,14 +219,17 @@ def loss_and_gradients(scorer: CalibratedScorer, x, labels, loss: LossSpec,
     """Mean loss over the batch and gradients for every weight/bias array.
 
     `masks` are the batch's boolean keep-masks, one (n, h) array per hidden
-    layer; without them dropout is off.  The gradients are written into
-    `out`, arrays shaped and ordered as scorer.parameters() (by default
-    views into one new flat buffer), and `out` is returned.  With
-    gradients=False only the loss is computed, and None stands for them.
+    layer (_batch_masks', scaled by 1/keep); without them dropout is off.
+    The gradients are written into `out`, arrays shaped and ordered as
+    scorer.parameters() (by default views into one new flat buffer), and
+    `out` is returned.  With gradients=False only the loss is computed, and
+    None stands for them.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
-    record = [] if gradients else None
+    # the recorded pass is the one that scales masks by 1/keep, so it runs
+    # whenever there are masks
+    record = [] if gradients or masks is not None else None
     z_out = scorer._hidden_pass(x, masks=masks, record=record)
     t = _targets(labels, loss)
     o = z_out if loss.logit_space else np.tanh(z_out)
@@ -345,46 +353,86 @@ def train(dataset: LabeledDataset, net_cfg: NetworkConfig, train_cfg: TrainingCo
 
 # Floats (1 MiB) the blocks of MC passes in flight may hold per hidden layer.
 _MC_BLOCK_FLOATS = 2 ** 17
-# Floats one draw call fills at most.
-_DRAW_FLOATS = 2 ** 16
+# 64-bit words (128 KiB) one draw call returns at most.
+_DRAW_WORDS = 2 ** 14
+# Lanes a word holds, and the values a 16-bit lane takes.
+_LANES = 4
+_LANE_VALUES = 2 ** 16
+
+
+def _lane_keep(keep: float) -> int:
+    """k = round(keep * 2**16) clamped to [1, 2**16]: an inference mask
+    entry is kept iff its 16-bit lane is below k, with probability k / 2**16.
+    """
+    return min(max(round(keep * _LANE_VALUES), 1), _LANE_VALUES)
+
+
+def _draw_lanes(gen: np.random.Generator, size) -> np.ndarray:
+    """The 16-bit lanes of `size` raw 64-bit words, lane j of a word its bits
+    16j..16j+15, as uint16 with 4 times the last axis.  Each word is one
+    next_uint64 of gen's bit generator (the draw a float64 takes), also on
+    MT19937, whose random_raw gives 32 bits.
+    """
+    words = gen.integers(0, 2 ** 64 - 1, size=size, dtype=np.uint64, endpoint=True)
+    return words.astype("<u8", copy=False).view("<u2")  # little-endian: lane j is uint16 j
 
 
 def _draw_masks(gens: list, widths: list, b: int, n: int, keep: float) -> list:
     """Boolean keep-masks (b, n, h) for b passes, layer i's drawn from gens[i].
 
-    Each mask is filled in C order, slab by slab, through one float slab
-    of at most _DRAW_FLOATS (2**16) floats that every layer reuses: one
-    gens[i].random(out=...) call and one compare a slab.  So a layer of at
-    most 2**16 entries takes one draw call, and the float scratch does not
-    grow with n.  Generator.random fills in C order too, so layer i takes
-    exactly the stream of one gens[i].random((b, n, h)).
+    Each pass's n * h entries, in C order, are the 16-bit lanes of
+    ceil(n * h / 4) fresh 64-bit words, lane j of a word being its bits
+    16j..16j+15; the unused lanes of a pass's last word are dropped.  An
+    entry is kept iff its lane is below _lane_keep(keep) = k, so the
+    realised keep is k / 2**16 (0.899994 for keep 0.9).  Layer i takes its
+    passes' words in pass order from gens[i], in draw calls of at most
+    _DRAW_WORDS (2**14) words: whole passes a call while a pass fits in
+    one, else one pass in several calls.  When every layer draws from one
+    generator and all their words fit in one call, as for a query, they
+    are one call, layer after layer, and one compare whose result the
+    masks view.  So the word scratch is at most 128 KiB whatever n is, and
+    gens[i] ends where one draw of each layer's b * ceil(n * h / 4) words,
+    layer after layer, would leave it.
     """
+    below = np.uint16(_lane_keep(keep) - 1)
+    words = [-(-(n * h) // _LANES) for h in widths]  # a pass's words, per layer
+    if all(gen is gens[0] for gen in gens) and b * sum(words) <= _DRAW_WORDS:
+        kept = _draw_lanes(gens[0], b * sum(words)) <= below
+        masks, start = [], 0
+        for h, w in zip(widths, words):
+            layer = kept[start:start + b * _LANES * w].reshape(b, _LANES * w)
+            masks.append(layer[:, :n * h].reshape(b, n, h))
+            start += b * _LANES * w
+        return masks
     masks = [np.empty((b, n, h), dtype=bool) for h in widths]
-    u = np.empty(min(max(mask.size for mask in masks), _DRAW_FLOATS))
-    for gen, mask in zip(gens, masks):
-        flat = mask.reshape(-1)
-        for s in range(0, flat.size, _DRAW_FLOATS):
-            slab = u[:min(flat.size - s, _DRAW_FLOATS)]
-            gen.random(out=slab)
-            np.less(slab, keep, out=flat[s:s + len(slab)])
+    for gen, mask, w_pass in zip(gens, masks, words):
+        flat = mask.reshape(b, -1)
+        step = min(w_pass, _DRAW_WORDS)  # words of one pass a call draws
+        per_call = max(1, _DRAW_WORDS // w_pass)  # passes a call draws
+        for s in range(0, b, per_call):
+            e = min(s + per_call, b)
+            for w in range(0, w_pass, step):
+                out = flat[s:e, _LANES * w:_LANES * (w + step)]
+                # one expression, so no earlier draw is held beside this one
+                np.less_equal(_draw_lanes(gen, (e - s, min(step, w_pass - w)))[:, :out.shape[1]],
+                              below, out=out)
     return masks
 
 
 def _cursor(rng: np.random.Generator, skip: int) -> np.random.Generator:
-    """A new Generator where rng will be after `skip` more float64 draws."""
+    """A new Generator where rng will be after `skip` more 64-bit words
+    (_draw_masks' words, or float64 draws: one next_uint64 each).
+    """
     bit_gen = type(rng.bit_generator)(0)  # seeded, so no OS entropy is read
     bit_gen.state = rng.bit_generator.state
     gen = np.random.Generator(bit_gen)
     if isinstance(bit_gen, (np.random.PCG64, np.random.PCG64DXSM)):
-        bit_gen.advance(skip)  # one step per float64 draw
+        bit_gen.advance(skip)  # one step per 64-bit word
         return gen
     # Philox.advance counts other units, MT19937 and SFC64 have no advance:
     # draw and discard
-    buf = np.empty(min(skip, _DRAW_FLOATS))
-    while skip:
-        k = min(skip, len(buf))
-        gen.random(out=buf[:k])
-        skip -= k
+    for s in range(0, skip, _DRAW_WORDS):
+        _draw_lanes(gen, min(skip - s, _DRAW_WORDS))
     return gen
 
 
@@ -394,28 +442,33 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
 
     act(x @ W1 + b1) does not depend on the pass, so it is computed once;
     the passes, then the plain output (no dropout: scorer.forward's bits
-    for a 2-D x), run on from it.  The draws are those of one float mask
-    per hidden layer over all m passes, layer after layer, as
-    rng.random((m, n, h)) would make them, kept as boolean keep-masks; each
-    block of passes is one stacked (b, n, h) product on masks drawn just
-    before it.  With b1 = max(1, _MC_BLOCK_FLOATS // (n * widest hidden
-    layer)) >= m, as for a query (n = 1), all passes are one block whose
-    masks come straight from rng, one draw call a layer while
-    m * n * h <= _DRAW_FLOATS.  Otherwise the passes are cut into
+    for a 2-D x), run on from it.  The masks are _draw_masks' 16-bit lanes:
+    the stream is layer after layer and, within a layer, pass after pass,
+    each pass taking ceil(n * h / 4) fresh 64-bit words.  An entry is kept
+    with probability k / 2**16, k = _lane_keep(1 - dropout_rate), and kept
+    activations are scaled by 2**16 / k.  Each block of passes is one
+    stacked (b, n, h) product on masks drawn just before it.  With
+    b1 = max(1, _MC_BLOCK_FLOATS // (n * widest hidden layer)) >= m, as for
+    a query (n = 1), all passes are one block whose masks come straight
+    from rng, in one draw call for every layer while the words of all
+    layers, m * sum(ceil(n * h / 4)), are at most _DRAW_WORDS (720 words
+    for a query at widths 64 and 32).  Otherwise the passes are cut into
     t = min(usable_cpus(), ceil(m / b1)) contiguous ranges, one a thread
     (none when t = 1; OpenBLAS is first capped at one thread), in blocks of
     b = max(1, _MC_BLOCK_FLOATS // (t * n * widest)), so all threads
     together hold at most one block.  Each range draws each layer's masks
     from its own stream cursor, a Generator on a copy of rng's state moved
-    to where that layer's masks for the range's first pass start; rng is
-    moved to the end of the stream (its buffered 32-bit half kept) once
-    every block has finished.  Held at once: the outputs, layer 1's
-    activation and, per range, one block's boolean masks, one float slab of
-    at most _DRAW_FLOATS floats and a few float arrays, the blocks of all
-    ranges together at most max(_MC_BLOCK_FLOATS, t * n * widest) floats
-    each.  Every output bit, and rng's end state, is that of running all m
-    passes at once, whatever the CPU count.  Without dropout or rows
-    (n = 0) nothing is drawn: the passes are a read-only broadcast of plain.
+    by whole words to where that layer's masks for the range's first pass
+    start; rng is moved to the end of the stream (its buffered 32-bit half
+    kept) once every block has finished.  Held at once: the outputs, layer
+    1's activation and, per range, one block's boolean masks, one word
+    draw of at most _DRAW_WORDS (2**14) words, 128 KiB whatever n is, and
+    a few float arrays, the blocks of all ranges together at most
+    max(_MC_BLOCK_FLOATS, t * n * widest) floats each.  Every output bit,
+    and rng's end state, is that of running all m passes at once, whatever
+    the CPU count; a query is a one-row batch, bit for bit.  Without
+    dropout or rows (n = 0) nothing is drawn: the passes are a read-only
+    broadcast of plain.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     scorer._check_input(x)
@@ -435,8 +488,9 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
     t = min(usable_cpus(), -(-m // b))
     b = max(1, _MC_BLOCK_FLOATS // (t * per_pass))
     bounds = [m * j // t for j in range(t + 1)]
-    layer_starts = [m * n * sum(widths[:i]) for i in range(len(widths))]
-    cursors = [[_cursor(rng, start + s * n * h) for start, h in zip(layer_starts, widths)]
+    words = [-(-(n * h) // _LANES) for h in widths]  # a pass's words, per layer
+    layer_starts = [m * sum(words[:i]) for i in range(len(widths))]
+    cursors = [[_cursor(rng, start + s * w) for start, w in zip(layer_starts, words)]
                for s in bounds[:-1]]
     z = np.empty((m, n))
 

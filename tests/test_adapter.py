@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from obil.adapter import (AdapterConfig, init, run_log_lr_stream, run_stream,
-                          step)
+from obil.adapter import AdapterConfig, init, run_log_lr_stream, step
 from obil.ensemble import EnsembleConfig, LikelihoodRatioEnsemble
 from obil.mlp import CalibratedScorer, NetworkConfig, init_scorer
 
@@ -129,7 +128,8 @@ class TestRunStream:
         assert [r.t for r in trace] == [1, 2, 3]
 
     def test_run_stream_uses_fused_ratio(self):
-        # a constant-output one-member ensemble reduces run_stream to
+        # the per-query path is run_log_lr_stream over fused_log_lr calls in
+        # arrival order; a constant-output one-member ensemble reduces it to
         # run_log_lr_stream on its member ratio
         scorer = CalibratedScorer(weights=[np.zeros((1, 1))],
                                   biases=[np.array([np.arctanh(0.5)])],
@@ -138,13 +138,15 @@ class TestRunStream:
         ens = LikelihoodRatioEnsemble([scorer], EnsembleConfig(target_qps=(1.0,)))
         cfg = AdapterConfig()
         feats = np.zeros((20, 1))
-        trace = run_stream(ens, feats, cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        trace = run_log_lr_stream((ens.fused_log_lr(x, rng) for x in feats), cfg)
         want = run_log_lr_stream([math.log(3.0)] * 20, cfg)
         assert [r.p1_hat_after for r in trace] == pytest.approx(
             [r.p1_hat_after for r in want])
 
-        # with dropout, run_stream equals run_log_lr_stream over fused_log_lr
-        # values drawn in arrival order from a twin generator
+        # with dropout, fusing each query as the adapter reaches it equals
+        # fusing one-row batches in arrival order from a twin generator up
+        # front, record for record
         members = [init_scorer(NetworkConfig(input_dim=2, hidden_dims=(5,),
                                              dropout_rate=0.3, seed=s), qp, "squared")
                    for s, qp in ((1, 1.0), (2, 3.0))]
@@ -152,11 +154,13 @@ class TestRunStream:
                                                               mc_samples=6))
         cfg = AdapterConfig(initial_p1=0.3)
         feats = np.random.default_rng(11).normal(0, 1, (15, 2))
-        trace = run_stream(ens, feats, cfg, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        trace = run_log_lr_stream((ens.fused_log_lr(x, rng) for x in feats), cfg)
         twin = np.random.default_rng(4)
-        log_lrs = [ens.fused_log_lr(x, twin) for x in feats]
+        log_lrs = [float(ens.fused_log_lr_batch(x[None], twin)[0]) for x in feats]
         want = run_log_lr_stream(log_lrs, cfg)
         assert [r.to_json() for r in trace] == [r.to_json() for r in want]
+        assert rng.bit_generator.state == twin.bit_generator.state
         # the dropout draws are live: a different generator changes the fusion
         other = [ens.fused_log_lr(x, np.random.default_rng(5)) for x in feats]
         assert other != log_lrs
@@ -204,3 +208,21 @@ class TestInvariants:
         parsed = json.loads(trace[0].to_json())
         assert parsed["t"] == 1
         assert parsed["prediction"] in (0, 1)
+
+    def test_to_json_is_json_dumps_of_the_fields(self):
+        # the template gives json.dumps(record.__dict__)'s bytes: on a real
+        # trace that updates, clamps and neither, and on records holding
+        # np.float64 (whose repr differs under numpy 2), -0.0 and extreme
+        # magnitudes
+        import json
+        from dataclasses import replace
+        log_lrs = np.random.default_rng(8).normal(0, 3, 2000)
+        trace = run_log_lr_stream(log_lrs, AdapterConfig(gamma=0.6, initial_p1=0.2))
+        assert {(r.updated, r.clamped) for r in trace} == {
+            (False, False), (True, False), (True, True)}
+        base = trace[0]
+        for value in (np.float64(0.1), np.float64(-2.5e-17), -0.0, 1e-300, 1e300, -1e300):
+            trace.append(replace(base, log_lr=value, p_lr=value, p_freq=value,
+                                 p_comb=value, p1_hat_after=value, threshold_after=value))
+        for record in trace:
+            assert record.to_json() == json.dumps(record.__dict__), record

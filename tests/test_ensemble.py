@@ -188,6 +188,26 @@ class TestFusedLogLr:
             assert fused.shape == (0,), dropout
             assert gen.bit_generator.state == state, dropout
 
+    def test_extreme_dropout_rates_fuse_finitely(self):
+        # dropout 1e-6 gives k = 2**16: every lane is kept at scale 1, so
+        # each pass is the plain output, bit for bit, and the variances are
+        # 0 up to rounding.  Dropout 0.999995 clamps k to 1: a lane is kept
+        # only at value 0 and scaled by 2**16, about 9 of the 600 000 lanes
+        # here, so some pass moves.  Both fuse to finite log-LRs, as a batch
+        # and per query
+        xs = np.random.default_rng(6).normal(0, 1, (2000, 2))
+        for dropout in (1e-6, 0.999995):
+            members = [init_scorer(NetworkConfig(input_dim=2, hidden_dims=(6, 4),
+                                                 dropout_rate=dropout, seed=s), qp, "squared")
+                       for s, qp in ((0, 1.0), (1, 3.0))]
+            ens = LikelihoodRatioEnsemble(members, EnsembleConfig(target_qps=(1.0, 3.0)))
+            moved = [np.any(passes != plain) for plain, passes in
+                     (mlp.mc_dropout_outputs(m, xs, 30, np.random.default_rng(2))
+                      for m in members)]
+            assert any(moved) == (dropout != 1e-6), (dropout, moved)
+            assert np.all(np.isfinite(ens.fused_log_lr_batch(xs, np.random.default_rng(2))))
+            assert np.isfinite(ens.fused_log_lr(xs[0], np.random.default_rng(2))), dropout
+
     def test_one_layer1_product_per_member(self, monkeypatch, layer1_products,
                                            thread_pools):
         # a member's log-LR and its MC passes share one x @ W1, on the

@@ -29,6 +29,26 @@ def small_dataset(n=60, seed=0, p1=0.5):
     return LabeledDataset(x, y)
 
 
+def lane_keep(keep):
+    """k = round(keep * 2**16) clamped to [1, 2**16]."""
+    return min(max(round(keep * 65536), 1), 65536)
+
+
+def lane_masks(rng, m, n, h, keep):
+    """Replay of the inference mask stream: pass after pass, ceil(n * h / 4)
+    fresh 64-bit words from rng.integers, lane j of a word its bits
+    16j..16j+15, cut by shifts; an entry is kept iff its lane is below k.
+    Boolean (m, n, h)."""
+    shifts = np.array([0, 16, 32, 48], dtype=np.uint64)
+    passes = []
+    for _ in range(m):
+        words = rng.integers(0, 2 ** 64 - 1, size=-(-(n * h) // 4), dtype=np.uint64,
+                             endpoint=True)
+        lanes = ((words[:, None] >> shifts) & np.uint64(0xFFFF)).reshape(-1)[:n * h]
+        passes.append((lanes < lane_keep(keep)).reshape(n, h))
+    return np.array(passes).reshape(m, n, h)
+
+
 class TestForward:
     def test_all_zero_parameters(self):
         cfg = NetworkConfig(input_dim=3, hidden_dims=(4,))
@@ -251,18 +271,23 @@ class TestGradientCheck:
             assert gradient_check(scorer, x, y, loss_name, weight) <= 1e-5
 
     def test_loss_alone_matches_loss_with_gradients(self):
-        # train() scores its validation split without backprop
+        # train() scores its validation split without backprop; with
+        # training masks the loss alone still scales them by 1/keep
         rng = np.random.default_rng(4)
         x = rng.normal(0, 1, (9, 3))
         y = np.array([0, 1, 0, 1, 1, 0, 0, 1, 0])
         for loss_name in ("squared", "squared_costweighted",
                           "logistic_arctanh", "xent_sigmoid"):
-            scorer = init_scorer(NetworkConfig(input_dim=3, hidden_dims=(5, 4), seed=2),
-                                 1.0, loss_name)
-            alone, none = loss_and_gradients(scorer, x, y, get_loss(loss_name), 2.0,
-                                             gradients=False)
-            assert none is None
-            assert alone == loss_and_gradients(scorer, x, y, get_loss(loss_name), 2.0)[0]
+            for dropout in (0.0, 0.3):
+                scorer = init_scorer(NetworkConfig(input_dim=3, hidden_dims=(5, 4), seed=2,
+                                                   dropout_rate=dropout), 1.0, loss_name)
+                masks = (mlp._batch_masks(np.random.default_rng(1), 9, [5, 4], 0.7)
+                         if dropout else None)
+                alone, none = loss_and_gradients(scorer, x, y, get_loss(loss_name), 2.0,
+                                                 masks=masks, gradients=False)
+                assert none is None
+                assert alone == loss_and_gradients(scorer, x, y, get_loss(loss_name), 2.0,
+                                                   masks=masks)[0], (loss_name, dropout)
 
     def test_gradient_vanishes_at_saturation(self):
         # with outputs saturated toward the matching labels the squared-loss
@@ -297,11 +322,12 @@ class TestMcDropout:
 
     def test_replay_oracle(self):
         # recompute the same stochastic passes with a twin generator and an
-        # independent forward implementation: per hidden layer, one float
-        # mask block over all (pass, row, unit) entries, layer after layer,
-        # then each pass alone.  The variances must match bit for bit, for
-        # one vector and for a batch, and the generators must end together.
-        # The log-LR beside the batch variance is scorer.log_lr's, bit for bit.
+        # independent forward implementation: per hidden layer, the lane
+        # masks of all passes, layer after layer, as float masks 2**16 / k
+        # or 0, then each pass alone.  The variances must match bit for
+        # bit, for one vector and for a batch, and the generators must end
+        # together.  The log-LR beside the batch variance is scorer.log_lr's,
+        # bit for bit.
         cfg = NetworkConfig(input_dim=2, hidden_dims=(6, 4), seed=8,
                             dropout_rate=0.3)
         scorer = init_scorer(cfg, 2.0, "squared")
@@ -318,7 +344,7 @@ class TestMcDropout:
                 assert log_lr.tobytes() == scorer.log_lr(x2).tobytes()
 
             rng = np.random.default_rng(123)
-            masks = [(rng.random((m, len(x2), w.shape[1])) < keep) / keep
+            masks = [lane_masks(rng, m, len(x2), w.shape[1], keep) * (65536 / lane_keep(keep))
                      for w in scorer.weights[:-1]]
             samples = []
             for s in range(m):
@@ -344,8 +370,8 @@ class TestMcDropout:
         np.testing.assert_allclose(outs[0], scorer.forward(xs), rtol=1e-15)
 
     def test_batch_replay_oracle(self):
-        # replay the batch passes with a twin generator: per layer, one float
-        # mask block over all (pass, row, unit) entries, then each pass
+        # replay the batch passes with a twin generator: per layer, the lane
+        # masks of all passes as float masks 2**16 / k or 0, then each pass
         # separately; the blocked passes (boolean masks drawn up front,
         # layer 1 once, b = max(1, 2**17 // (n * widest layer)) passes at a
         # time) must give the same bits and leave the generator where the
@@ -372,7 +398,7 @@ class TestMcDropout:
             act = acts[activation]
             hs = [x2] * m
             for w, b in zip(scorer.weights[:-1], scorer.biases[:-1]):
-                masks = (rng.random((m, len(x2), w.shape[1])) < keep) / keep
+                masks = lane_masks(rng, m, len(x2), w.shape[1], keep) * (65536 / lane_keep(keep))
                 hs = [act(h @ w + b) * masks[k] for k, h in enumerate(hs)]
             want = np.array([np.tanh(h @ scorer.weights[-1] + scorer.biases[-1])[:, 0]
                              for h in hs])
@@ -433,23 +459,24 @@ class TestMcDropout:
             assert (log_lr.shape, var.shape) == ((0,), (0,)), dropout
             assert gen.bit_generator.state == state, dropout
 
-    def test_query_draws_once_a_layer(self):
-        # a one-row query runs its m passes as one block, and each hidden
-        # layer's masks for all of them take one draw call
+    def test_query_draws_once_a_member(self):
+        # a one-row query runs its m passes as one block, and the masks of
+        # every hidden layer for all of them take one word draw: 30 * 16
+        # words at width 64, then 30 * 8 at width 32
         class CountingGenerator:
             def __init__(self, gen):
                 self.gen, self.calls = gen, 0
 
-            def random(self, *args, **kwargs):
+            def integers(self, *args, **kwargs):
                 self.calls += 1
-                return self.gen.random(*args, **kwargs)
+                return self.gen.integers(*args, **kwargs)
 
         cfg = NetworkConfig(input_dim=2, hidden_dims=(64, 32), seed=3, dropout_rate=0.1)
         scorer = init_scorer(cfg, 1.0, "squared")
         x = np.array([[0.4, -1.2]])
         gen = CountingGenerator(np.random.default_rng(5))
         _, got = mc_dropout_outputs(scorer, x, 30, gen)
-        assert gen.calls == 2
+        assert gen.calls == 1
         want_gen = np.random.default_rng(5)
         assert got.tobytes() == replay_passes(scorer, x, 30, want_gen).tobytes()
         assert gen.gen.bit_generator.state == want_gen.bit_generator.state
@@ -458,15 +485,17 @@ class TestMcDropout:
         # without a record, a masked pass applies bias, activation and mask
         # in place: at n = 10 000 and hidden (64, 32) it holds one (n, 64)
         # and one (n, 32) float array besides two (n,) outputs, not z,
-        # act(z) and their product (10.2 MB), and gives the bits of the
-        # recorded path
+        # act(z) and their product (10.2 MB), and gives the bits of a plain
+        # pass that scales the lane masks' kept entries by 2**16 / k
         n = 10_000
+        acts = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}
         for activation in ("relu", "tanh"):
             cfg = NetworkConfig(input_dim=4, hidden_dims=(64, 32), seed=2,
                                 activation=activation, dropout_rate=0.1)
             scorer = init_scorer(cfg, 1.0, "squared")
             xs = np.random.default_rng(1).normal(0, 1, (n, 4))
-            masks = mlp._draw_masks([np.random.default_rng(0)] * 2, [64, 32], 1, n, 0.9)
+            rng = np.random.default_rng(0)
+            masks = [lane_masks(rng, 1, n, h, 0.9) for h in (64, 32)]
             first = scorer._act(xs @ scorer.weights[0] + scorer.biases[0])
             tracemalloc.start()
             try:
@@ -475,7 +504,11 @@ class TestMcDropout:
             finally:
                 tracemalloc.stop()
             assert peak < n * (64 + 32 + 2) * 8 + 16_384, (activation, peak)
-            want = scorer._hidden_pass(xs, masks=masks, record=[])
+            h = xs
+            for w, b, mask in zip(scorer.weights, scorer.biases, masks):
+                h = acts[activation](h @ w + b) * mask * (65536 / lane_keep(0.9))
+            want = (h @ scorer.weights[-1] + scorer.biases[-1])[..., 0]
+            assert z.shape == (1, n), activation
             assert z.tobytes() == want.tobytes(), activation
 
     def test_batch_variance_nonnegative_and_shaped(self):
@@ -489,18 +522,18 @@ class TestMcDropout:
 
 
 def replay_passes(scorer, x2, m, rng):
-    """Independent replay of mc_dropout_outputs: per layer, the boolean masks
-    of all m passes drawn pass after pass from rng, layer after layer; then
-    each pass alone as 2-D products."""
+    """Independent replay of mc_dropout_outputs: per layer, the lane masks of
+    all m passes drawn pass after pass from rng, layer after layer; then
+    each pass alone as 2-D products, kept entries scaled by 2**16 / k."""
     keep = 1.0 - scorer.dropout_rate
+    scale = 65536 / lane_keep(keep)
     act = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}[scorer.activation]
-    masks = [np.array([rng.random((len(x2), w.shape[1])) < keep for _ in range(m)])
-             for w in scorer.weights[:-1]]
+    masks = [lane_masks(rng, m, len(x2), w.shape[1], keep) for w in scorer.weights[:-1]]
     out = []
     for k in range(m):
         h = x2
         for w, b, mask in zip(scorer.weights[:-1], scorer.biases[:-1], masks):
-            h = act(h @ w + b) * (mask[k] / keep)
+            h = act(h @ w + b) * (mask[k] * scale)
         out.append(np.tanh(h @ scorer.weights[-1] + scorer.biases[-1])[:, 0])
     return np.array(out)
 
@@ -605,33 +638,68 @@ class TestMcThreads:
 
 
 class TestDrawMasks:
-    # _draw_masks fills each layer's boolean (b, n, h) mask in slabs of at
-    # most 2**16 floats
+    # _draw_masks fills each layer's boolean (b, n, h) mask from 16-bit
+    # lanes, each pass on fresh 64-bit words, in draw calls of at most
+    # 2**14 words
     BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
                       np.random.MT19937, np.random.SFC64)
 
+    def test_lane_keep(self):
+        # round(keep * 2**16), clamped to [1, 2**16]
+        assert mlp._lane_keep(0.9) == 58982
+        assert mlp._lane_keep(1.0 - 1e-6) == 65536
+        assert mlp._lane_keep(5e-6) == 1
+        assert mlp._lane_keep(0.5) == 32768
+
     def test_slab_boundaries_keep_the_stream(self):
-        # b * n * h just below, at and just above one slab, and just above
-        # two: the masks are those of one random((b, n, h)) call a layer,
-        # bit for bit, and the generator ends where that call leaves it;
-        # a narrower second layer reuses the first one's slab
+        # a pass of ceil(n * h / 4) words just below, at and just above one
+        # call's 2**14 words, over two calls with a padded last word, and
+        # several passes a call with a short last call: the masks are the
+        # replayed lanes, bit for bit, and the generator ends where the
+        # replay leaves it; a narrower second layer draws after the first
         keep = 0.7
-        shapes = [(3, 5, 4369), (4, 256, 64), (1, 65537, 1), (3, 1, 43691)]
+        shapes = [(3, 5, 13107), (4, 256, 64), (1, 65537, 1), (3, 1, 43691),
+                  (2, 1, 131077), (5, 3, 7), (9, 4, 1000)]
         for bit_gen in self.BIT_GENERATORS:
             for b, n, h in shapes:
                 gen, want_gen = np.random.Generator(bit_gen(17)), np.random.Generator(bit_gen(17))
                 got = mlp._draw_masks([gen, gen], [h, 7], b, n, keep)
-                want = [want_gen.random((b, n, w)) < keep for w in (h, 7)]
-                case = (bit_gen.__name__, b * n * h)
+                want = [lane_masks(want_gen, b, n, w, keep) for w in (h, 7)]
+                case = (bit_gen.__name__, b, n * h)
                 assert [g.shape for g in got] == [(b, n, h), (b, n, 7)], case
                 assert all(np.array_equal(g, w) for g, w in zip(got, want)), case
                 np.testing.assert_equal(gen.bit_generator.state,
                                         want_gen.bit_generator.state, err_msg=str(case))
 
-    def test_float_scratch_does_not_grow_with_n(self):
+    def test_pass_pads_to_a_whole_word(self):
+        # n * h = 5 lanes a pass: each pass takes 2 words and drops the last
+        # 3 lanes of its second, so 3 passes take 6 words, not ceil(15 / 4)
+        gen, twin = np.random.default_rng(4), np.random.default_rng(4)
+        got = mlp._draw_masks([gen], [5], 3, 1, 0.5)[0]
+        words = twin.integers(0, 2 ** 64 - 1, size=(3, 2), dtype=np.uint64, endpoint=True)
+        assert gen.bit_generator.state == twin.bit_generator.state
+        for k in range(3):
+            lanes = [int(words[k, j // 4]) >> (16 * (j % 4)) & 0xFFFF for j in range(5)]
+            assert got[k, 0].tolist() == [lane < 32768 for lane in lanes], k
+
+    def test_keep_rate_uses_all_64_bits(self):
+        # over 2**20 lanes the kept share of each lane position is within
+        # 5 binomial sigmas of k / 2**16; words with 32 random bits (as
+        # MT19937's random_raw gives) would keep every lane 2 and 3
+        keep = 0.9
+        p = mlp._lane_keep(keep) / 65536
+        for bit_gen in self.BIT_GENERATORS:
+            mask = mlp._draw_masks([np.random.Generator(bit_gen(5))], [1024], 1, 1024, keep)[0]
+            per_lane = mask.reshape(-1, 4).sum(axis=0)
+            n = mask.size // 4
+            sigma = np.sqrt(n * p * (1.0 - p))
+            assert np.all(np.abs(per_lane - n * p) < 5 * sigma), (bit_gen.__name__, per_lane)
+            assert abs(mask.sum() - mask.size * p) < 5 * 2 * sigma, bit_gen.__name__
+
+    def test_word_scratch_does_not_grow_with_n(self):
         # one drift_long-sized layer-1 pass (n = 10 000, h = 64) holds its
-        # boolean mask and one slab of 2**16 floats, not an (n, h) float
-        # buffer of 5.1 MB
+        # boolean mask and one draw of at most 2**14 words (128 KiB), not
+        # the pass's 160 000 words (1.3 MB)
         n, h = 10_000, 64
         gen = np.random.default_rng(0)
         tracemalloc.start()
@@ -641,7 +709,7 @@ class TestDrawMasks:
         finally:
             tracemalloc.stop()
         assert masks[0].shape == (1, n, h)
-        assert peak < n * h + 2 ** 16 * 8 + 16_384, peak
+        assert peak < n * h + 2 ** 14 * 8 + 16_384, peak
 
 
 class TestSerialization:

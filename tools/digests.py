@@ -11,9 +11,10 @@ The commands, each through `obil.cli.main` in this process:
   config, both read from the checkout's `perfbench/run.py`;
 - `obil train` (`ensemble.bin`), `obil simulate` (`trace.jsonl`) and
   `obil regret` (`regret.tsv`) on the README config, where qc = 1;
-- the per-query path: `adapter.run_stream`, one `fused_log_lr` call a row,
-  on that `ensemble.bin` over a fixed 500-row stream of the README scenario,
-  written by `experiment.write_trace` to `query/trace.jsonl`;
+- the per-query path: `adapter.run_log_lr_stream` over one `fused_log_lr`
+  call a row, made as the adapter reaches it, on that `ensemble.bin` over a
+  fixed 500-row stream of the README scenario, written by
+  `experiment.write_trace` to `query/trace.jsonl`;
 - a mid-size batch: the raw float64 bytes of `fused_log_lr_batch` on that
   `ensemble.bin` over a 250-row stream of the README scenario, written to
   `batch/fused.bin`.  At 250 rows and hidden widths (64, 32) the MC passes
@@ -85,7 +86,7 @@ def write_outputs(root: Path, out: Path):
             raise SystemExit(f"obil {command} on the {name} config exited with {code}")
         config_path.unlink()
 
-    from obil.adapter import run_stream
+    from obil.adapter import run_log_lr_stream
     from obil.ensemble import load_ensemble
     from obil.experiment import parse_config, write_trace
     from obil.simulate import StreamScenario
@@ -93,7 +94,7 @@ def write_outputs(root: Path, out: Path):
     rng = np.random.default_rng(0)
     feats, _, _ = StreamScenario(parsed["problem"], parsed["trajectory"], QUERIES).draw(rng)
     ensemble = load_ensemble(out / "train" / "ensemble.bin")
-    trace = run_stream(ensemble, feats, parsed["adapter"], rng)
+    trace = run_log_lr_stream((ensemble.fused_log_lr(x, rng) for x in feats), parsed["adapter"])
     (out / "query").mkdir()
     write_trace(out / "query" / "trace.jsonl", trace)
 

@@ -30,7 +30,7 @@ def derive_member_seed(master_seed: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    target_qps: tuple = (1.0, 2.0, 5.0, 10.0)
+    target_qps: tuple[float, ...] = (1.0, 2.0, 5.0, 10.0)
     fusion_temperature: float = 1.0
     mc_samples: int = 30
     resample_method: str = "undersample"

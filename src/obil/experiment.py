@@ -103,9 +103,42 @@ DATA_KEYS = ("kind", "n", "p1", "mu0", "mu1", "sigma2",  # gaussian
              "path", "label_column", "positive_value")  # csv, and evaluate's test CSV
 # dataclass fields that callers set and a config never does
 _CALLER_FIELDS = ("input_dim", "seed", "prior_floor")
-# field annotations are strings (postponed evaluation)
-_CONVERTERS = {"float": float, "int": int, "str": str, "tuple": tuple,
-               "np.ndarray": functools.partial(np.asarray, dtype=float)}
+
+
+def _is_json(value, types) -> bool:
+    """`value` is one of `types` and not a bool (a JSON true is no number)."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _checked(types, what: str, then=lambda value: value):
+    """A converter of config key values: `then(value)` if the value is one of
+    `types`, else a TypeError that names the key."""
+    def convert(key: str, value):
+        if not _is_json(value, types):
+            raise TypeError(f"{key} must be {what}, got {value!r}")
+        return then(value)
+    return convert
+
+
+def _array(types, what: str, then):
+    """_checked for a JSON array whose items are each one of `types`."""
+    def convert(key: str, value):
+        if not _is_json(value, list) or not all(_is_json(item, types) for item in value):
+            raise TypeError(f"{key} must be an array of {what}, got {value!r}")
+        return then(value)
+    return convert
+
+
+# field annotations are strings (postponed evaluation); a value must have
+# its field's JSON type, so "64" or ["64"] is no list of widths and 2.5 or
+# true no int
+_CONVERTERS = {"float": _checked((int, float), "a number", float),
+               "int": _checked(int, "an integer"),
+               "str": _checked(str, "a string"),
+               "tuple[int, ...]": _array(int, "integers", tuple),
+               "tuple[float, ...]": _array((int, float), "numbers", tuple),
+               "np.ndarray": _array((int, float), "numbers",
+                                    functools.partial(np.asarray, dtype=float))}
 
 
 def _check_keys(section: dict, known, where: str):
@@ -141,7 +174,8 @@ def _field_values(cls, section: dict, name: str, **check) -> dict:
     types = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in _CALLER_FIELDS}
     _check_keys(section, types, f"{name}.")
     with _section_values(f"{name} section"):
-        kwargs = {key: _CONVERTERS[types[key]](value) for key, value in section.items()}
+        kwargs = {key: _CONVERTERS[types[key]](f"{name}.{key}", value)
+                  for key, value in section.items()}
         cls(**check, **kwargs)
     return kwargs
 
@@ -150,7 +184,7 @@ def check_seeds(seeds) -> list:
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("seeds must be a nonempty list")
     for s in seeds:
-        if isinstance(s, bool) or not isinstance(s, int) or s < 0:
+        if not _is_json(s, int) or s < 0:
             raise ConfigError(f"seeds must be nonnegative integers, got {s!r}")
     return list(seeds)
 
@@ -192,8 +226,8 @@ def parse_config(cfg: dict) -> dict:
     problem = GaussianProblem(**_field_values(GaussianProblem, gaussian, "data")) \
         if kind == "gaussian" else None
     with _section_values("data section"):
-        train_size = int(data.get("n", 2000))
-        train_p1 = float(data.get("p1", 0.5))
+        train_size = _CONVERTERS["int"]("data.n", data.get("n", 2000))
+        train_p1 = _CONVERTERS["float"]("data.p1", data.get("p1", 0.5))
         if train_size < 1:
             raise ValueError(f"n must be at least 1, got {train_size}")
         if not 0.0 <= train_p1 <= 1.0:
@@ -215,7 +249,7 @@ def parse_config(cfg: dict) -> dict:
     horizon = scenario.pop("horizon", 1000)
     trajectory = PriorTrajectory(**_field_values(PriorTrajectory, scenario, "scenario"))
     with _section_values("scenario section"):
-        horizon = int(horizon)
+        horizon = _CONVERTERS["int"]("scenario.horizon", horizon)
         if horizon < 1:
             raise ValueError(f"horizon must be at least 1, got {horizon}")
 

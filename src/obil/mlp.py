@@ -31,7 +31,7 @@ class ShapeError(ValueError):
 @dataclass(frozen=True)
 class NetworkConfig:
     input_dim: int
-    hidden_dims: tuple = (128, 64, 32)
+    hidden_dims: tuple[int, ...] = (128, 64, 32)
     activation: str = "relu"
     dropout_rate: float = 0.0
     seed: int = 0
@@ -107,8 +107,9 @@ class CalibratedScorer:
         layer, broadcasting against that layer's activation; this method
         draws no random numbers.  With a record (training, _batch_masks'
         masks) kept activations are scaled by 1/keep; without one (MC
-        inference, _draw_masks' lane masks, kept with probability k / 2**16
-        for k = _lane_keep(keep)) by 2**16 / k.  `first` is layer 1's
+        inference: _draw_masks' lane masks, each layer's a view into one
+        pass-major array, kept with probability k / 2**16 for
+        k = _lane_keep(keep)) by 2**16 / k.  `first` is layer 1's
         unmasked activation act(x @ W1 + b1) when the caller has already
         computed it; x is then only checked.  Without a record, each layer's
         bias, activation and mask are applied in place on its matmul
@@ -377,45 +378,34 @@ def _draw_lanes(gen: np.random.Generator, size) -> np.ndarray:
     return words.astype("<u8", copy=False).view("<u2")  # little-endian: lane j is uint16 j
 
 
-def _draw_masks(gens: list, widths: list, b: int, n: int, keep: float) -> list:
-    """Boolean keep-masks (b, n, h) for b passes, layer i's drawn from gens[i].
+def _draw_masks(gen: np.random.Generator, widths: list, b: int, n: int,
+                keep: float) -> list:
+    """Boolean keep-masks (b, n, h) for b passes, one per hidden width, from gen.
 
-    Each pass's n * h entries, in C order, are the 16-bit lanes of
-    ceil(n * h / 4) fresh 64-bit words, lane j of a word being its bits
-    16j..16j+15; the unused lanes of a pass's last word are dropped.  An
-    entry is kept iff its lane is below _lane_keep(keep) = k, so the
-    realised keep is k / 2**16 (0.899994 for keep 0.9).  Layer i takes its
-    passes' words in pass order from gens[i], in draw calls of at most
-    _DRAW_WORDS (2**14) words: whole passes a call while a pass fits in
-    one, else one pass in several calls.  When every layer draws from one
-    generator and all their words fit in one call, as for a query, they
-    are one call, layer after layer, and one compare whose result the
-    masks view.  So the word scratch is at most 128 KiB whatever n is, and
-    gens[i] ends where one draw of each layer's b * ceil(n * h / 4) words,
-    layer after layer, would leave it.
+    The stream is pass after pass: each pass takes ceil(n * sum(widths) / 4)
+    fresh 64-bit words, and their 16-bit lanes, lane j of a word being its
+    bits 16j..16j+15, are cut in C order layer after layer, each layer's
+    n * h entries after the layer before; the unused lanes of a pass's last
+    word are dropped.  An entry is kept iff its lane is below
+    _lane_keep(keep) = k, so the realised keep is k / 2**16 (0.899994 for
+    keep 0.9).  The b passes' words are one contiguous run of the stream,
+    drawn in calls of at most _DRAW_WORDS (2**14) words into one boolean
+    (b, 4 * words) array that the masks view.  So the word scratch is at most
+    128 KiB whatever n is, and gen ends where one draw of the b passes'
+    words would leave it.
     """
     below = np.uint16(_lane_keep(keep) - 1)
-    words = [-(-(n * h) // _LANES) for h in widths]  # a pass's words, per layer
-    if all(gen is gens[0] for gen in gens) and b * sum(words) <= _DRAW_WORDS:
-        kept = _draw_lanes(gens[0], b * sum(words)) <= below
-        masks, start = [], 0
-        for h, w in zip(widths, words):
-            layer = kept[start:start + b * _LANES * w].reshape(b, _LANES * w)
-            masks.append(layer[:, :n * h].reshape(b, n, h))
-            start += b * _LANES * w
-        return masks
-    masks = [np.empty((b, n, h), dtype=bool) for h in widths]
-    for gen, mask, w_pass in zip(gens, masks, words):
-        flat = mask.reshape(b, -1)
-        step = min(w_pass, _DRAW_WORDS)  # words of one pass a call draws
-        per_call = max(1, _DRAW_WORDS // w_pass)  # passes a call draws
-        for s in range(0, b, per_call):
-            e = min(s + per_call, b)
-            for w in range(0, w_pass, step):
-                out = flat[s:e, _LANES * w:_LANES * (w + step)]
-                # one expression, so no earlier draw is held beside this one
-                np.less_equal(_draw_lanes(gen, (e - s, min(step, w_pass - w)))[:, :out.shape[1]],
-                              below, out=out)
+    words = -(-(n * sum(widths)) // _LANES)  # a pass's words
+    kept = np.empty((b, _LANES * words), dtype=bool)
+    flat = kept.reshape(-1)
+    for w in range(0, b * words, _DRAW_WORDS):
+        c = min(_DRAW_WORDS, b * words - w)
+        # one expression, so no earlier draw is held beside this one
+        np.less_equal(_draw_lanes(gen, c), below, out=flat[_LANES * w:_LANES * (w + c)])
+    masks, start = [], 0
+    for h in widths:
+        masks.append(kept[:, start:start + n * h].reshape(b, n, h))
+        start += n * h
     return masks
 
 
@@ -443,32 +433,33 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
     act(x @ W1 + b1) does not depend on the pass, so it is computed once;
     the passes, then the plain output (no dropout: scorer.forward's bits
     for a 2-D x), run on from it.  The masks are _draw_masks' 16-bit lanes:
-    the stream is layer after layer and, within a layer, pass after pass,
-    each pass taking ceil(n * h / 4) fresh 64-bit words.  An entry is kept
-    with probability k / 2**16, k = _lane_keep(1 - dropout_rate), and kept
-    activations are scaled by 2**16 / k.  Each block of passes is one
-    stacked (b, n, h) product on masks drawn just before it.  With
-    b1 = max(1, _MC_BLOCK_FLOATS // (n * widest hidden layer)) >= m, as for
-    a query (n = 1), all passes are one block whose masks come straight
-    from rng, in one draw call for every layer while the words of all
-    layers, m * sum(ceil(n * h / 4)), are at most _DRAW_WORDS (720 words
-    for a query at widths 64 and 32).  Otherwise the passes are cut into
-    t = min(usable_cpus(), ceil(m / b1)) contiguous ranges, one a thread
-    (none when t = 1; OpenBLAS is first capped at one thread), in blocks of
+    the stream is pass after pass, each pass taking
+    words = ceil(n * sum(widths) / 4) fresh 64-bit words cut layer after
+    layer.  An entry is kept with probability k / 2**16,
+    k = _lane_keep(1 - dropout_rate), and kept activations are scaled by
+    2**16 / k.  With b1 = max(1, _MC_BLOCK_FLOATS // (n * widest hidden
+    layer)) passes a block on one thread, the m passes are cut into
+    t = min(usable_cpus(), ceil(m / b1)) contiguous ranges (one, without
+    asking for the CPU count, when ceil(m / b1) <= 1; m = 0 draws nothing),
+    one a thread (none when t = 1; OpenBLAS is first capped at one thread),
+    in blocks of
     b = max(1, _MC_BLOCK_FLOATS // (t * n * widest)), so all threads
-    together hold at most one block.  Each range draws each layer's masks
-    from its own stream cursor, a Generator on a copy of rng's state moved
-    by whole words to where that layer's masks for the range's first pass
-    start; rng is moved to the end of the stream (its buffered 32-bit half
-    kept) once every block has finished.  Held at once: the outputs, layer
-    1's activation and, per range, one block's boolean masks, one word
-    draw of at most _DRAW_WORDS (2**14) words, 128 KiB whatever n is, and
-    a few float arrays, the blocks of all ranges together at most
-    max(_MC_BLOCK_FLOATS, t * n * widest) floats each.  Every output bit,
-    and rng's end state, is that of running all m passes at once, whatever
-    the CPU count; a query is a one-row batch, bit for bit.  Without
-    dropout or rows (n = 0) nothing is drawn: the passes are a read-only
-    broadcast of plain.
+    together hold at most one block.  Each block is one stacked (b, n, h)
+    product on masks drawn just before it.  With one range, as for a query
+    (n = 1: one block, one draw call while its m * words words are at most
+    _DRAW_WORDS, 720 words at widths 64 and 32), the masks come straight
+    from rng.  With t > 1, range j draws from its own stream cursor, a
+    Generator on a copy of rng's state moved by whole words to its first
+    pass, s_j * words; rng is moved to the end of the stream (its buffered
+    32-bit half kept) once every block has finished.  Held at once: the
+    outputs, layer 1's activation and, per range, one block's boolean
+    masks, one word draw of at most _DRAW_WORDS (2**14) words, 128 KiB
+    whatever n is, and a few float arrays, the blocks of all ranges
+    together at most max(_MC_BLOCK_FLOATS, t * n * widest) floats each.
+    Every output bit, and rng's end state, is that of running all m passes
+    at once, whatever the CPU count; a query is a one-row batch, bit for
+    bit.  Without dropout or rows (n = 0) nothing is drawn: the passes are
+    a read-only broadcast of plain.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     scorer._check_input(x)
@@ -481,40 +472,37 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
     widths = [w.shape[1] for w in scorer.weights[:-1]]
     per_pass = n * max(widths)
     b = max(1, _MC_BLOCK_FLOATS // per_pass)
-    if b >= m:
-        masks = _draw_masks([rng] * len(widths), widths, m, n, keep)
-        z = scorer._hidden_pass(x, first=first, masks=masks)
-        return scorer._bounded(scorer._hidden_pass(x, first=first)), scorer._bounded(z)
-    t = min(usable_cpus(), -(-m // b))
+    blocks = -(-m // b)
+    # one block (a query; m = 0 is one empty range) needs no thread, and so
+    # no CPU count, a system call that costs a query several microseconds
+    t = min(usable_cpus(), blocks) if blocks > 1 else 1
     b = max(1, _MC_BLOCK_FLOATS // (t * per_pass))
-    bounds = [m * j // t for j in range(t + 1)]
-    words = [-(-(n * h) // _LANES) for h in widths]  # a pass's words, per layer
-    layer_starts = [m * sum(words[:i]) for i in range(len(widths))]
-    cursors = [[_cursor(rng, start + s * w) for start, w in zip(layer_starts, words)]
-               for s in bounds[:-1]]
     z = np.empty((m, n))
 
-    def run_range(j):
+    def run_range(start, stop, gen):
         # each block stays a stacked (b, n, h) product: a 2-D (b * n, h)
         # product lets BLAS pick other kernels and changes the last bits
-        for s in range(bounds[j], bounds[j + 1], b):
-            e = min(s + b, bounds[j + 1])
-            masks = _draw_masks(cursors[j], widths, e - s, n, keep)
+        for s in range(start, stop, b):
+            e = min(s + b, stop)
+            masks = _draw_masks(gen, widths, e - s, n, keep)
             z[s:e] = scorer._hidden_pass(x, first=first, masks=masks)
 
     if t == 1:
-        run_range(0)
+        run_range(0, m, rng)
     else:
         from concurrent.futures import ThreadPoolExecutor
+        bounds = [m * j // t for j in range(t + 1)]
+        words = -(-(n * sum(widths)) // _LANES)  # a pass's words
+        gens = [_cursor(rng, s * words) for s in bounds[:-1]]
         one_blas_thread()
         with ThreadPoolExecutor(t) as pool:
-            list(pool.map(run_range, range(t)))
-    state = rng.bit_generator.state
-    end = cursors[-1][-1].bit_generator.state  # the last mask's last draw
-    for key in ("has_uint32", "uinteger"):
-        if key in state:
-            end[key] = state[key]
-    rng.bit_generator.state = end
+            list(pool.map(run_range, bounds[:-1], bounds[1:], gens))
+        state = rng.bit_generator.state
+        end = gens[-1].bit_generator.state  # the last pass's last draw
+        for key in ("has_uint32", "uinteger"):
+            if key in state:
+                end[key] = state[key]
+        rng.bit_generator.state = end
     return scorer._bounded(scorer._hidden_pass(x, first=first)), scorer._bounded(z)
 
 

@@ -132,6 +132,20 @@ UNKNOWN_KEYS = [(None, "seed", 5), ("network", "dropout", 0.5),
                 ("scenario", "horizen", 10), ("adapter", "prior_floor", 0.1),
                 ("ensemble", "calibration_fraction", 0.15)]
 
+# (section, key, value) with a value that is not of the key's JSON type: a
+# list takes only an array of its item type, an int only an integer, and no
+# number a bool
+WRONG_TYPES = [("network", "hidden_dims", "64"), ("network", "hidden_dims", ["64"]),
+               ("network", "hidden_dims", [64.5]), ("network", "dropout_rate", False),
+               ("training", "max_epochs", True), ("training", "batch_size", 2.5),
+               ("training", "learning_rate", True),
+               ("ensemble", "target_qps", "124"), ("ensemble", "target_qps", [True]),
+               ("ensemble", "mc_samples", 30.0), ("data", "mu1", ["1"]),
+               ("data", "n", 2.5), ("data", "n", True), ("data", "n", "3000"),
+               ("data", "p1", True), ("adapter", "qc", True), ("adapter", "window_w", 100.5),
+               ("scenario", "horizon", 10.7), ("scenario", "horizon", True),
+               ("scenario", "kind", 5)]
+
 
 class TestCliExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -155,6 +169,7 @@ class TestCliExitCodes:
         ("network", "dropout_rate", 1.5),
         ("network", "hidden_dims", [-3]),
         ("network", "hidden_dims", [0]),
+        *[row for row in WRONG_TYPES if row[0] in ("network", "training")],
     ])
     def test_invalid_network_or_training_value_exits_2(self, tmp_path, capsys,
                                                        section, key, value):
@@ -162,7 +177,10 @@ class TestCliExitCodes:
         cfg = write_config(tmp_path, **{section: {**base_config()[section], key: value}})
         assert main(["train", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 2
-        assert "error:" in capsys.readouterr().err
+        error = capsys.readouterr().err
+        assert "error:" in error
+        if (section, key, value) in WRONG_TYPES:
+            assert f"{section}.{key} must be" in error
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, section, key, value", [
@@ -195,6 +213,8 @@ class TestCliExitCodes:
         ("run", "scenario", "p_before", float("nan")),
         ("run", "scenario", "slope", float("nan")),
         *[("run", *unknown) for unknown in UNKNOWN_KEYS],
+        *[("run", *row) for row in WRONG_TYPES if row[0] not in ("network", "training")],
+        ("simulate", "scenario", "horizon", 10.7),
     ])
     def test_invalid_section_value_or_seed_exits_2(
             self, tmp_path, capsys, command, section, key, value):
@@ -209,6 +229,8 @@ class TestCliExitCodes:
         if (section, key, value) in UNKNOWN_KEYS:
             name = key if section is None else f"{section}.{key}"
             assert f"unknown config key {name!r}" in error
+        if (section, key, value) in WRONG_TYPES:
+            assert f"{section}.{key} must be" in error
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_override_exits_2(self, tmp_path, capsys):

@@ -34,19 +34,23 @@ def lane_keep(keep):
     return min(max(round(keep * 65536), 1), 65536)
 
 
-def lane_masks(rng, m, n, h, keep):
-    """Replay of the inference mask stream: pass after pass, ceil(n * h / 4)
-    fresh 64-bit words from rng.integers, lane j of a word its bits
-    16j..16j+15, cut by shifts; an entry is kept iff its lane is below k.
-    Boolean (m, n, h)."""
+def pass_masks(rng, m, n, widths, keep):
+    """Replay of the inference mask stream: pass after pass, one rng.integers
+    draw of ceil(n * sum(widths) / 4) fresh 64-bit words, lane j of a word
+    its bits 16j..16j+15, cut by shifts and then layer after layer, each
+    layer's n * h lanes after the layer before; an entry is kept iff its
+    lane is below k.  A boolean (m, n, h) array per width."""
     shifts = np.array([0, 16, 32, 48], dtype=np.uint64)
-    passes = []
-    for _ in range(m):
-        words = rng.integers(0, 2 ** 64 - 1, size=-(-(n * h) // 4), dtype=np.uint64,
-                             endpoint=True)
-        lanes = ((words[:, None] >> shifts) & np.uint64(0xFFFF)).reshape(-1)[:n * h]
-        passes.append((lanes < lane_keep(keep)).reshape(n, h))
-    return np.array(passes).reshape(m, n, h)
+    masks = [np.empty((m, n, h), dtype=bool) for h in widths]
+    for k in range(m):
+        words = rng.integers(0, 2 ** 64 - 1, size=-(-(n * sum(widths)) // 4),
+                             dtype=np.uint64, endpoint=True)
+        lanes = ((words[:, None] >> shifts) & np.uint64(0xFFFF)).reshape(-1)
+        start = 0
+        for mask, h in zip(masks, widths):
+            mask[k] = (lanes[start:start + n * h] < lane_keep(keep)).reshape(n, h)
+            start += n * h
+    return masks
 
 
 class TestForward:
@@ -322,9 +326,9 @@ class TestMcDropout:
 
     def test_replay_oracle(self):
         # recompute the same stochastic passes with a twin generator and an
-        # independent forward implementation: per hidden layer, the lane
-        # masks of all passes, layer after layer, as float masks 2**16 / k
-        # or 0, then each pass alone.  The variances must match bit for
+        # independent forward implementation: the lane masks of all passes,
+        # pass after pass and within a pass layer after layer, as float
+        # masks 2**16 / k or 0, then each pass alone.  The variances must match bit for
         # bit, for one vector and for a batch, and the generators must end
         # together.  The log-LR beside the batch variance is scorer.log_lr's,
         # bit for bit.
@@ -344,8 +348,8 @@ class TestMcDropout:
                 assert log_lr.tobytes() == scorer.log_lr(x2).tobytes()
 
             rng = np.random.default_rng(123)
-            masks = [lane_masks(rng, m, len(x2), w.shape[1], keep) * (65536 / lane_keep(keep))
-                     for w in scorer.weights[:-1]]
+            masks = [mask * (65536 / lane_keep(keep))
+                     for mask in pass_masks(rng, m, len(x2), cfg.hidden_dims, keep)]
             samples = []
             for s in range(m):
                 h = x2
@@ -370,9 +374,9 @@ class TestMcDropout:
         np.testing.assert_allclose(outs[0], scorer.forward(xs), rtol=1e-15)
 
     def test_batch_replay_oracle(self):
-        # replay the batch passes with a twin generator: per layer, the lane
-        # masks of all passes as float masks 2**16 / k or 0, then each pass
-        # separately; the blocked passes (boolean masks drawn up front,
+        # replay the batch passes with a twin generator: the lane masks of
+        # all passes, pass after pass, as float masks 2**16 / k or 0, then
+        # each pass separately; the blocked passes (boolean masks drawn up front,
         # layer 1 once, b = max(1, 2**17 // (n * widest layer)) passes at a
         # time) must give the same bits and leave the generator where the
         # twin is.  With hidden (64, 32) and m = 30, n = 250 runs blocks of
@@ -397,8 +401,9 @@ class TestMcDropout:
             keep = 1.0 - scorer.dropout_rate
             act = acts[activation]
             hs = [x2] * m
-            for w, b in zip(scorer.weights[:-1], scorer.biases[:-1]):
-                masks = lane_masks(rng, m, len(x2), w.shape[1], keep) * (65536 / lane_keep(keep))
+            for w, b, masks in zip(scorer.weights[:-1], scorer.biases[:-1],
+                                   pass_masks(rng, m, len(x2), hidden_dims, keep)):
+                masks = masks * (65536 / lane_keep(keep))
                 hs = [act(h @ w + b) * masks[k] for k, h in enumerate(hs)]
             want = np.array([np.tanh(h @ scorer.weights[-1] + scorer.biases[-1])[:, 0]
                              for h in hs])
@@ -459,10 +464,29 @@ class TestMcDropout:
             assert (log_lr.shape, var.shape) == ((0,), (0,)), dropout
             assert gen.bit_generator.state == state, dropout
 
+    def test_zero_or_one_pass(self, monkeypatch):
+        # m = 0 gives (n,) plain and (0, n) outputs and draws nothing; m = 1
+        # is one pass, the replay's bits; on one CPU or two
+        cfg = NetworkConfig(input_dim=2, hidden_dims=(64, 32), seed=3, dropout_rate=0.2)
+        scorer = init_scorer(cfg, 1.0, "squared")
+        xs = np.random.default_rng(4).normal(0, 1, (250, 2))
+        for cpus in (1, 2):
+            monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
+            gen = np.random.default_rng(0)
+            state = gen.bit_generator.state
+            plain, outs = mc_dropout_outputs(scorer, xs, 0, gen)
+            assert (plain.shape, outs.shape) == ((250,), (0, 250)), cpus
+            assert plain.tobytes() == scorer.forward(xs).tobytes(), cpus
+            assert gen.bit_generator.state == state, cpus
+            want_gen = np.random.default_rng(0)
+            _, got = mc_dropout_outputs(scorer, xs, 1, gen)
+            assert got.tobytes() == replay_passes(scorer, xs, 1, want_gen).tobytes(), cpus
+            assert gen.bit_generator.state == want_gen.bit_generator.state, cpus
+
     def test_query_draws_once_a_member(self):
-        # a one-row query runs its m passes as one block, and the masks of
-        # every hidden layer for all of them take one word draw: 30 * 16
-        # words at width 64, then 30 * 8 at width 32
+        # a one-row query is one range of one block, drawn straight from the
+        # generator: its 30 passes are one run of 30 * 24 words (a pass
+        # takes 16 words for width 64, then 8 for width 32), one word draw
         class CountingGenerator:
             def __init__(self, gen):
                 self.gen, self.calls = gen, 0
@@ -495,7 +519,7 @@ class TestMcDropout:
             scorer = init_scorer(cfg, 1.0, "squared")
             xs = np.random.default_rng(1).normal(0, 1, (n, 4))
             rng = np.random.default_rng(0)
-            masks = [lane_masks(rng, 1, n, h, 0.9) for h in (64, 32)]
+            masks = pass_masks(rng, 1, n, (64, 32), 0.9)
             first = scorer._act(xs @ scorer.weights[0] + scorer.biases[0])
             tracemalloc.start()
             try:
@@ -522,13 +546,14 @@ class TestMcDropout:
 
 
 def replay_passes(scorer, x2, m, rng):
-    """Independent replay of mc_dropout_outputs: per layer, the lane masks of
-    all m passes drawn pass after pass from rng, layer after layer; then
-    each pass alone as 2-D products, kept entries scaled by 2**16 / k."""
+    """Independent replay of mc_dropout_outputs: the lane masks of all m
+    passes drawn from rng pass after pass, each cut layer after layer
+    (pass_masks); then each pass alone as 2-D products, kept entries scaled
+    by 2**16 / k."""
     keep = 1.0 - scorer.dropout_rate
     scale = 65536 / lane_keep(keep)
     act = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}[scorer.activation]
-    masks = [lane_masks(rng, m, len(x2), w.shape[1], keep) for w in scorer.weights[:-1]]
+    masks = pass_masks(rng, m, len(x2), [w.shape[1] for w in scorer.weights[:-1]], keep)
     out = []
     for k in range(m):
         h = x2
@@ -621,6 +646,39 @@ class TestMcThreads:
             mc_dropout_outputs(scorer, xs, 30, np.random.default_rng(0))
             assert sorted(blocks) == sorted(sizes), cpus
 
+    def test_one_cursor_a_range(self, monkeypatch):
+        # at n = 250, widths (64, 32) and m = 30, one CPU runs 4 blocks
+        # drawn straight from the generator, with no cursor; two CPUs make
+        # one cursor a range, 2 in all whatever the layer count, and every
+        # block draws from its range's cursor
+        scorer = self.scorer((64, 32))
+        xs = np.random.default_rng(3).normal(0, 1, (250, 2))
+        real_cursor, real_draw = mlp._cursor, mlp._draw_masks
+        cursors, draws = [], []
+
+        def counted_cursor(rng, skip):
+            cursors.append(real_cursor(rng, skip))
+            return cursors[-1]
+
+        def recorded_draw(gen, *args):
+            draws.append(gen)
+            return real_draw(gen, *args)
+
+        monkeypatch.setattr(mlp, "_cursor", counted_cursor)
+        monkeypatch.setattr(mlp, "_draw_masks", recorded_draw)
+        for cpus, n_cursors in ((1, 0), (2, 2)):
+            monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
+            cursors.clear()
+            draws.clear()
+            gen = np.random.default_rng(0)
+            mc_dropout_outputs(scorer, xs, 30, gen)
+            assert len(cursors) == n_cursors, cpus
+            if cpus == 1:
+                assert len(draws) == 4 and all(d is gen for d in draws)
+            else:
+                assert len(draws) == 8
+                assert {id(d) for d in draws} == {id(c) for c in cursors}
+
     def test_thread_error_propagates_and_leaves_generator(self, monkeypatch, thread_pools):
         scorer = self.scorer((64, 32))
         monkeypatch.setattr(mlp, "usable_cpus", lambda: 2)
@@ -638,9 +696,14 @@ class TestMcThreads:
 
 
 class TestDrawMasks:
-    # _draw_masks fills each layer's boolean (b, n, h) mask from 16-bit
-    # lanes, each pass on fresh 64-bit words, in draw calls of at most
-    # 2**14 words
+    # _draw_masks draws the masks of b passes from one generator, pass after
+    # pass: each pass takes ceil(n * sum(widths) / 4) fresh 64-bit words,
+    # whose 16-bit lanes are cut layer after layer, in draw calls of at most
+    # 2**14 words over the block's one run of words.  A training batch's
+    # masks could be one pass of this stream,
+    # _draw_masks(rng, hidden, 1, len(idx), keep); training keeps its float
+    # draws (_batch_masks) on purpose, since switching moves every trained
+    # weight and where early stopping falls
     BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
                       np.random.MT19937, np.random.SFC64)
 
@@ -652,35 +715,39 @@ class TestDrawMasks:
         assert mlp._lane_keep(0.5) == 32768
 
     def test_slab_boundaries_keep_the_stream(self):
-        # a pass of ceil(n * h / 4) words just below, at and just above one
-        # call's 2**14 words, over two calls with a padded last word, and
-        # several passes a call with a short last call: the masks are the
-        # replayed lanes, bit for bit, and the generator ends where the
-        # replay leaves it; a narrower second layer draws after the first
+        # widths (h, 7): a pass of ceil(n * (h + 7) / 4) words just below,
+        # at and just above one call's 2**14 words, over two calls with a
+        # padded last word, several passes a call, and calls that end
+        # inside a pass; layer 2 starts mid-word where n * h is not a
+        # multiple of 4.  The masks are the replayed lanes, bit for bit, and
+        # the generator ends where the replay leaves it
         keep = 0.7
-        shapes = [(3, 5, 13107), (4, 256, 64), (1, 65537, 1), (3, 1, 43691),
-                  (2, 1, 131077), (5, 3, 7), (9, 4, 1000)]
+        shapes = [(3, 4, 16376), (1, 1, 65529), (2, 1, 65530), (2, 1, 131077),
+                  (4, 256, 64), (5, 3, 7), (9, 4, 1000)]
         for bit_gen in self.BIT_GENERATORS:
             for b, n, h in shapes:
                 gen, want_gen = np.random.Generator(bit_gen(17)), np.random.Generator(bit_gen(17))
-                got = mlp._draw_masks([gen, gen], [h, 7], b, n, keep)
-                want = [lane_masks(want_gen, b, n, w, keep) for w in (h, 7)]
-                case = (bit_gen.__name__, b, n * h)
+                got = mlp._draw_masks(gen, [h, 7], b, n, keep)
+                want = pass_masks(want_gen, b, n, (h, 7), keep)
+                case = (bit_gen.__name__, b, n * (h + 7))
                 assert [g.shape for g in got] == [(b, n, h), (b, n, 7)], case
                 assert all(np.array_equal(g, w) for g, w in zip(got, want)), case
                 np.testing.assert_equal(gen.bit_generator.state,
                                         want_gen.bit_generator.state, err_msg=str(case))
 
     def test_pass_pads_to_a_whole_word(self):
-        # n * h = 5 lanes a pass: each pass takes 2 words and drops the last
-        # 3 lanes of its second, so 3 passes take 6 words, not ceil(15 / 4)
+        # widths (2, 2, 1) at n = 1 are 5 lanes a pass: each pass takes 2
+        # words, layer 2 its first word's lanes 2 and 3, layer 3 its second
+        # word's lane 0, and drops that word's last 3 lanes; so 3 passes
+        # take 6 words, not ceil(15 / 4) nor the 9 of a word a layer
         gen, twin = np.random.default_rng(4), np.random.default_rng(4)
-        got = mlp._draw_masks([gen], [5], 3, 1, 0.5)[0]
+        got = mlp._draw_masks(gen, [2, 2, 1], 3, 1, 0.5)
         words = twin.integers(0, 2 ** 64 - 1, size=(3, 2), dtype=np.uint64, endpoint=True)
         assert gen.bit_generator.state == twin.bit_generator.state
         for k in range(3):
             lanes = [int(words[k, j // 4]) >> (16 * (j % 4)) & 0xFFFF for j in range(5)]
-            assert got[k, 0].tolist() == [lane < 32768 for lane in lanes], k
+            kept = [lane < 32768 for lane in lanes]
+            assert [g[k, 0].tolist() for g in got] == [kept[:2], kept[2:4], kept[4:]], k
 
     def test_keep_rate_uses_all_64_bits(self):
         # over 2**20 lanes the kept share of each lane position is within
@@ -689,7 +756,7 @@ class TestDrawMasks:
         keep = 0.9
         p = mlp._lane_keep(keep) / 65536
         for bit_gen in self.BIT_GENERATORS:
-            mask = mlp._draw_masks([np.random.Generator(bit_gen(5))], [1024], 1, 1024, keep)[0]
+            mask = mlp._draw_masks(np.random.Generator(bit_gen(5)), [1024], 1, 1024, keep)[0]
             per_lane = mask.reshape(-1, 4).sum(axis=0)
             n = mask.size // 4
             sigma = np.sqrt(n * p * (1.0 - p))
@@ -697,19 +764,19 @@ class TestDrawMasks:
             assert abs(mask.sum() - mask.size * p) < 5 * 2 * sigma, bit_gen.__name__
 
     def test_word_scratch_does_not_grow_with_n(self):
-        # one drift_long-sized layer-1 pass (n = 10 000, h = 64) holds its
-        # boolean mask and one draw of at most 2**14 words (128 KiB), not
-        # the pass's 160 000 words (1.3 MB)
-        n, h = 10_000, 64
+        # one drift_long-sized pass (n = 10 000, widths 64 and 32) holds its
+        # boolean masks and one draw of at most 2**14 words (128 KiB), not
+        # the pass's 240 000 words (1.9 MB)
+        n, widths = 10_000, [64, 32]
         gen = np.random.default_rng(0)
         tracemalloc.start()
         try:
-            masks = mlp._draw_masks([gen], [h], 1, n, 0.9)
+            masks = mlp._draw_masks(gen, widths, 1, n, 0.9)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert masks[0].shape == (1, n, h)
-        assert peak < n * h + 2 ** 14 * 8 + 16_384, peak
+        assert [mask.shape for mask in masks] == [(1, n, 64), (1, n, 32)]
+        assert peak < n * sum(widths) + 2 ** 14 * 8 + 16_384, peak
 
 
 class TestSerialization:

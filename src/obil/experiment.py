@@ -226,6 +226,9 @@ def parse_config(cfg: dict) -> dict:
     problem = GaussianProblem(**_field_values(GaussianProblem, gaussian, "data")) \
         if kind == "gaussian" else None
     with _section_values("data section"):
+        for key in ("path", "label_column", "positive_value"):
+            if key in data:
+                _CONVERTERS["str"](f"data.{key}", data[key])
         train_size = _CONVERTERS["int"]("data.n", data.get("n", 2000))
         train_p1 = _CONVERTERS["float"]("data.p1", data.get("p1", 0.5))
         if train_size < 1:

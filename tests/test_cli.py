@@ -133,8 +133,8 @@ UNKNOWN_KEYS = [(None, "seed", 5), ("network", "dropout", 0.5),
                 ("ensemble", "calibration_fraction", 0.15)]
 
 # (section, key, value) with a value that is not of the key's JSON type: a
-# list takes only an array of its item type, an int only an integer, and no
-# number a bool
+# list takes only an array of its item type, an int only an integer, a
+# string key only a string, and no number a bool
 WRONG_TYPES = [("network", "hidden_dims", "64"), ("network", "hidden_dims", ["64"]),
                ("network", "hidden_dims", [64.5]), ("network", "dropout_rate", False),
                ("training", "max_epochs", True), ("training", "batch_size", 2.5),
@@ -142,7 +142,9 @@ WRONG_TYPES = [("network", "hidden_dims", "64"), ("network", "hidden_dims", ["64
                ("ensemble", "target_qps", "124"), ("ensemble", "target_qps", [True]),
                ("ensemble", "mc_samples", 30.0), ("data", "mu1", ["1"]),
                ("data", "n", 2.5), ("data", "n", True), ("data", "n", "3000"),
-               ("data", "p1", True), ("adapter", "qc", True), ("adapter", "window_w", 100.5),
+               ("data", "p1", True), ("data", "path", 5), ("data", "label_column", 7),
+               ("data", "positive_value", 1),
+               ("adapter", "qc", True), ("adapter", "window_w", 100.5),
                ("scenario", "horizon", 10.7), ("scenario", "horizon", True),
                ("scenario", "kind", 5)]
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bayes import PRIOR_FLOOR
-from .metrics import ConfusionCounts, FitFailure, f1
+from .metrics import FitFailure
 
 
 class BBSEUnidentifiable(ValueError):
@@ -17,7 +17,10 @@ def threshold_moving_fit(scores, labels):
 
     Candidates are midpoints of adjacent distinct sorted scores plus
     sentinels below/above all scores; ties break toward the smaller
-    threshold.  Decisions downstream are score > threshold.
+    threshold, the first maximum.  Decisions downstream are score > threshold.
+    Each candidate's F1 is 2 tp / (2 tp + fp + fn), metrics.f1's bits, with
+    tp and fp counted by searchsorted on the sorted positive and negative
+    scores.
     """
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels, dtype=int)
@@ -32,13 +35,15 @@ def threshold_moving_fit(scores, labels):
         (distinct[:-1] + distinct[1:]) / 2.0,
         [distinct[-1] + max(span, 1.0)],
     ])
-    best_thr, best_f1 = None, -1.0
-    for thr in candidates:
-        preds = (s > thr).astype(int)
-        score = f1(ConfusionCounts.from_predictions(preds, y)).value
-        if score > best_f1 + 1e-15:
-            best_thr, best_f1 = thr, score
-    return float(best_thr), float(best_f1)
+    kept = ~np.isnan(s)  # a NaN score is above no threshold
+    pos, neg = np.sort(s[kept & (y == 1)]), np.sort(s[kept & (y == 0)])
+    tp = len(pos) - np.searchsorted(pos, candidates, side="right")
+    fp = len(neg) - np.searchsorted(neg, candidates, side="right")
+    fn = np.count_nonzero(y == 1) - tp
+    denom = 2 * tp + fp + fn
+    scores_f1 = np.divide(2 * tp, denom, out=np.zeros(len(candidates)), where=denom > 0)
+    best = int(np.argmax(scores_f1))
+    return float(candidates[best]), float(scores_f1[best])
 
 
 def logit_adjust(z, train_p1: float, test_p1: float):

@@ -90,12 +90,13 @@ def combined_threshold(costs: CostStructure, priors: PriorPair) -> float:
     return costs.cost_ratio * priors.imbalance_ratio
 
 
-def clamp_output(o):
+def clamp_output(o, out=None):
     """Clamp a raw network output into [-1 + EPS_CLIP, 1 - EPS_CLIP].
 
-    np.clip's bits (NaN passes through) without its Python wrapper.
+    np.clip's bits (NaN passes through) without its Python wrapper.  With
+    `out` (an array, which may be o) the result is written there.
     """
-    return np.minimum(np.maximum(o, -1.0 + EPS_CLIP), 1.0 - EPS_CLIP)
+    return np.minimum(np.maximum(o, -1.0 + EPS_CLIP, out=out), 1.0 - EPS_CLIP, out=out)
 
 
 def posterior_from_output(o):
@@ -121,13 +122,25 @@ def lr_from_output(o, training_qp: float):
     return lr_from_posterior(posterior_from_output(o), training_qp)
 
 
-def log_lr_from_output(o, training_qp: float):
-    """Natural log of lr_from_output; the representation used everywhere downstream."""
+def log_lr_from_output(o, training_qp: float, out=None):
+    """Natural log of lr_from_output; the representation used everywhere downstream.
+
+    log(training_qp) + log1p(o) - log1p(-o), in that order.  With `out` (an
+    array, which may be o) the result is written there, with the same
+    operations and so the same bits, and log1p(-o) is the one new array;
+    without it, the plain expression costs a one-row call fewer microseconds.
+    """
     if training_qp <= 0:
         raise ValueError("training_qp must be positive")
     arr = np.asarray(o, dtype=float)
-    out = math.log(training_qp) + np.log1p(arr) - np.log1p(-arr)
-    return out if np.ndim(o) else float(out)
+    if out is None:
+        out = math.log(training_qp) + np.log1p(arr) - np.log1p(-arr)
+        return out if np.ndim(o) else float(out)
+    minus = np.negative(arr)
+    np.log1p(minus, out=minus)
+    np.log1p(arr, out=out)
+    np.add(math.log(training_qp), out, out=out)
+    return np.subtract(out, minus, out=out)
 
 
 def posterior_from_log_lr(log_lr, p1):

@@ -485,11 +485,14 @@ def write_trace(path, trace):
 
 
 def write_regret(path, ledger):
-    """Regret ledger as a tab-separated table with a header row."""
+    """Regret ledger as a tab-separated table with a header row: a row a
+    step, RegretLedger.rows()' step as an int and losses as floats, repr'd."""
+    losses = [np.asarray(c, dtype=float).tolist()
+              for c in (ledger.alg_loss, ledger.oracle_loss, ledger.cum_regret)]
+    rows = zip(np.asarray(ledger.t).tolist(), *losses)
     with open(path, "w") as fh:
         fh.write("t\talg_loss\toracle_loss\tcum_regret\n")
-        for row in ledger.rows():
-            fh.write("\t".join(repr(v) for v in row) + "\n")
+        fh.writelines("%d\t%r\t%r\t%r\n" % row for row in rows)
 
 
 def _aggregate(per_seed):

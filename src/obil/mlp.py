@@ -161,11 +161,12 @@ class CalibratedScorer:
         z = self._hidden_pass(np.atleast_2d(x))
         return float(z[0]) if x.ndim == 1 else z
 
-    def _bounded(self, z):
-        """Bounded output in (-1, 1) from the scalar pre-activation z."""
+    def _bounded(self, z, out=None):
+        """Bounded output in (-1, 1) from the scalar pre-activation z; with
+        `out` (which may be z) the result is written there."""
         if self.logit_space:
-            return np.tanh(z / (2.0 * self.temperature))
-        return np.tanh(z)
+            z = np.divide(z, 2.0 * self.temperature, out=out)
+        return np.tanh(z, out=out)
 
     def forward(self, x):
         """Bounded output in (-1, 1)."""
@@ -354,6 +355,8 @@ def train(dataset: LabeledDataset, net_cfg: NetworkConfig, train_cfg: TrainingCo
 
 # Floats (1 MiB) the blocks of MC passes in flight may hold per hidden layer.
 _MC_BLOCK_FLOATS = 2 ** 17
+# Row tiles of MC passes start at multiples of this many rows.
+_TILE_ROWS = 64
 # 64-bit words (128 KiB) one draw call returns at most.
 _DRAW_WORDS = 2 ** 14
 # Lanes a word holds, and the values a 16-bit lane takes.
@@ -426,14 +429,33 @@ def _cursor(rng: np.random.Generator, skip: int) -> np.random.Generator:
     return gen
 
 
+def _row_tiles(n: int, rows: int) -> list:
+    """Slices of n rows into tiles of at most `rows` rows: one slice when
+    rows >= n, else tiles of rows cut down to a multiple of _TILE_ROWS (at
+    least _TILE_ROWS), the last tile taking what is left.  A 1-row last
+    tile would change the bits of the products on OpenBLAS, so the tile
+    before it gives it its last _TILE_ROWS rows, or joins it when it has
+    no more.
+    """
+    if rows >= n:
+        return [slice(0, n)]
+    rows = max(_TILE_ROWS, rows - rows % _TILE_ROWS)
+    edges = list(range(0, n, rows)) + [n]
+    if n - edges[-2] == 1:
+        edges[-2] -= _TILE_ROWS
+        if edges[-2] == edges[-3]:
+            del edges[-2]
+    return [slice(r0, r1) for r0, r1 in zip(edges[:-1], edges[1:])]
+
+
 def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
                        rng: np.random.Generator) -> tuple:
     """The plain output and m stochastic outputs for a batch: (n,) and (m, n).
 
-    act(x @ W1 + b1) does not depend on the pass, so it is computed once;
-    the passes, then the plain output (no dropout: scorer.forward's bits
-    for a 2-D x), run on from it.  The masks are _draw_masks' 16-bit lanes:
-    the stream is pass after pass, each pass taking
+    act(x @ W1 + b1) does not depend on the pass, so it is computed once,
+    in place; the passes, then the plain output (no dropout: scorer.forward's
+    bits for a 2-D x), run on from it.  The masks are _draw_masks' 16-bit
+    lanes: the stream is pass after pass, each pass taking
     words = ceil(n * sum(widths) / 4) fresh 64-bit words cut layer after
     layer.  An entry is kept with probability k / 2**16,
     k = _lane_keep(1 - dropout_rate), and kept activations are scaled by
@@ -442,24 +464,30 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
     t = min(usable_cpus(), ceil(m / b1)) contiguous ranges (one, without
     asking for the CPU count, when ceil(m / b1) <= 1; m = 0 draws nothing),
     one a thread (none when t = 1; OpenBLAS is first capped at one thread),
-    in blocks of
-    b = max(1, _MC_BLOCK_FLOATS // (t * n * widest)), so all threads
-    together hold at most one block.  Each block is one stacked (b, n, h)
-    product on masks drawn just before it.  With one range, as for a query
-    (n = 1: one block, one draw call while its m * words words are at most
-    _DRAW_WORDS, 720 words at widths 64 and 32), the masks come straight
-    from rng.  With t > 1, range j draws from its own stream cursor, a
-    Generator on a copy of rng's state moved by whole words to its first
-    pass, s_j * words; rng is moved to the end of the stream (its buffered
-    32-bit half kept) once every block has finished.  Held at once: the
-    outputs, layer 1's activation and, per range, one block's boolean
-    masks, one word draw of at most _DRAW_WORDS (2**14) words, 128 KiB
-    whatever n is, and a few float arrays, the blocks of all ranges
-    together at most max(_MC_BLOCK_FLOATS, t * n * widest) floats each.
-    Every output bit, and rng's end state, is that of running all m passes
-    at once, whatever the CPU count; a query is a one-row batch, bit for
-    bit.  Without dropout or rows (n = 0) nothing is drawn: the passes are
-    a read-only broadcast of plain.
+    in blocks of b = max(1, _MC_BLOCK_FLOATS // (t * n * widest)) passes.
+    Each block's masks are drawn, for all n rows, just before it runs; the
+    block then runs over row tiles, one stacked (b, rows, h) product a layer
+    and tile, where rows = _MC_BLOCK_FLOATS // (t * b * widest) cut down to
+    a multiple of _TILE_ROWS (at least _TILE_ROWS) when that is below n, or
+    all n rows (_row_tiles; the plain output runs on the same tiles).  So
+    all threads' tiles together hold at most _MC_BLOCK_FLOATS floats a layer
+    (while t * _TILE_ROWS * widest fits in it): 1,024 rows a tile at t = 2
+    and width 64; a query (n = 1) and a batch of 2,000 rows at t = 1 are one
+    tile.  With one range, as for a query (one block, one draw call while
+    its m * words words are at most _DRAW_WORDS, 720 words at widths 64 and
+    32), the masks come straight from rng.  With t > 1, range j draws from
+    its own stream cursor, a Generator on a copy of rng's state moved by
+    whole words to its first pass, s_j * words; rng is moved to the end of
+    the stream (its buffered 32-bit half kept) once every block has
+    finished.  Held at once: layer 1's activation, the (m, n) passes (tanh
+    applied in place) and, per range, one block's boolean masks, one word
+    draw of at most _DRAW_WORDS (2**14) words, 128 KiB whatever n is, and
+    one tile's layer arrays.  Every output bit, and rng's end state, is
+    that of running all m passes at once over all rows, whatever the CPU
+    count: on OpenBLAS a product over tiles whose edges are multiples of 64
+    rows, none of them 1 row, gives the bits of the full-row product.  A
+    query is a one-row batch, bit for bit.  Without dropout or rows (n = 0)
+    nothing is drawn: the passes are a read-only broadcast of plain.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     scorer._check_input(x)
@@ -467,25 +495,39 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
     if scorer.dropout_rate == 0.0 or n == 0:  # nothing to draw
         plain = scorer._bounded(scorer._hidden_pass(x))
         return plain, np.broadcast_to(plain, (m, n))
-    first = scorer._act(x @ scorer.weights[0] + scorer.biases[0])
+    first = x @ scorer.weights[0]
+    first += scorer.biases[0]
+    scorer._act(first, out=first)
     keep = 1.0 - scorer.dropout_rate
     widths = [w.shape[1] for w in scorer.weights[:-1]]
-    per_pass = n * max(widths)
+    widest = max(widths)
+    per_pass = n * widest
     b = max(1, _MC_BLOCK_FLOATS // per_pass)
     blocks = -(-m // b)
     # one block (a query; m = 0 is one empty range) needs no thread, and so
     # no CPU count, a system call that costs a query several microseconds
     t = min(usable_cpus(), blocks) if blocks > 1 else 1
     b = max(1, _MC_BLOCK_FLOATS // (t * per_pass))
+    tiles = _row_tiles(n, _MC_BLOCK_FLOATS // (t * b * widest))  # b = 1 if several
     z = np.empty((m, n))
 
+    def tile_pass(r, masks=None):
+        # the passes of a block over the rows r (the plain pass without
+        # masks); one tile, as for a query, runs on the arrays themselves
+        if len(tiles) == 1:
+            return scorer._hidden_pass(x, first=first, masks=masks)
+        return scorer._hidden_pass(x[r], first=first[r],
+                                   masks=None if masks is None else [mk[:, r] for mk in masks])
+
     def run_range(start, stop, gen):
-        # each block stays a stacked (b, n, h) product: a 2-D (b * n, h)
+        # each block stays a stacked (b, rows, h) product: a 2-D (b * rows, h)
         # product lets BLAS pick other kernels and changes the last bits
         for s in range(start, stop, b):
             e = min(s + b, stop)
             masks = _draw_masks(gen, widths, e - s, n, keep)
-            z[s:e] = scorer._hidden_pass(x, first=first, masks=masks)
+            for r in tiles:
+                z[s:e, r] = tile_pass(r, masks)
+            del masks  # so the next block's draw does not hold two blocks' masks
 
     if t == 1:
         run_range(0, m, rng)
@@ -503,22 +545,27 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
             if key in state:
                 end[key] = state[key]
         rng.bit_generator.state = end
-    return scorer._bounded(scorer._hidden_pass(x, first=first)), scorer._bounded(z)
+    plain = tile_pass(tiles[0]) if len(tiles) == 1 else \
+        np.concatenate([tile_pass(r) for r in tiles])
+    return scorer._bounded(plain, out=plain), scorer._bounded(z, out=z)
 
 
 def mc_dropout_log_lr(scorer: CalibratedScorer, x, m: int,
                       rng: np.random.Generator) -> tuple:
     """A batch's log-LR (scorer.log_lr's bits) and the 1/m-normalized
     variance of its m MC passes' log-LRs (exactly 0 without dropout), each
-    (n,), from one mc_dropout_outputs call.
+    (n,), from one mc_dropout_outputs call.  The passes become log-LRs in
+    place (clamp_output, then log_lr_from_output, with one more (m, n)
+    array), in the operations and order of scorer.log_lr.
     """
     if m < 2:
         raise ValueError("need at least two passes")
     plain, passes = mc_dropout_outputs(scorer, x, m, rng)
     log_lr = log_lr_from_output(clamp_output(plain), scorer.training_qp)
-    if scorer.dropout_rate == 0.0:
+    if scorer.dropout_rate == 0.0 or len(log_lr) == 0:  # passes are a read-only broadcast
         return log_lr, np.zeros(len(log_lr))
-    logs = log_lr_from_output(clamp_output(passes), scorer.training_qp)
+    logs = log_lr_from_output(clamp_output(passes, out=passes), scorer.training_qp,
+                              out=passes)
     logs -= np.add.reduce(logs, axis=0) / m
     logs *= logs
     return log_lr, np.add.reduce(logs, axis=0) / m

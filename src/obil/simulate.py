@@ -107,6 +107,28 @@ class PriorTrajectory:
                 else max(self.p_start + self.slope * t, self.p_cap)
         return min(max(p, PRIOR_FLOOR), 1.0 - PRIOR_FLOOR)
 
+    def p1_path(self, horizon: int) -> np.ndarray:
+        """p1_at(t) for t = 0, ..., horizon - 1, bit for bit, as one array.
+
+        The steps are exact float64 integers, so each p1_at operation is the
+        same float operation here, while |t_switch| and decay_steps are
+        below 2**53.
+        """
+        t = np.arange(horizon, dtype=float)
+        if self.kind == "constant":
+            p = np.full(horizon, self.p_before, dtype=float)
+        elif self.kind == "abrupt":
+            after = self.p_before if self.decay_steps > 0 else self.p_after
+            p = np.where(t < self.t_switch, self.p_before, after)
+            if self.decay_steps > 0:
+                decay = (t >= self.t_switch) & (t < self.t_switch + self.decay_steps)
+                frac = (t[decay] - self.t_switch) / self.decay_steps
+                p[decay] = self.p_after + (self.p_before - self.p_after) * frac
+        else:  # linear_drift
+            p = self.p_start + self.slope * t
+            p = np.minimum(p, self.p_cap) if self.slope >= 0 else np.maximum(p, self.p_cap)
+        return np.minimum(np.maximum(p, PRIOR_FLOOR), 1.0 - PRIOR_FLOOR)
+
 
 @dataclass(frozen=True)
 class StreamScenario:
@@ -120,7 +142,7 @@ class StreamScenario:
 
     def draw(self, rng: np.random.Generator):
         """The whole stream as (features, labels, true priors), in one draw."""
-        p1s = np.array([self.trajectory.p1_at(t) for t in range(self.horizon)])
+        p1s = self.trajectory.p1_path(self.horizon)
         return (*self.problem.draw(p1s, rng), p1s)
 
 

@@ -10,7 +10,57 @@ from obil.bayes import PriorPair, combined_threshold, CostStructure
 from obil.metrics import ConfusionCounts, f1
 
 
+def threshold_moving_loop(scores, labels):
+    """threshold_moving_fit as a loop over its candidates: ConfusionCounts
+    and f1 at each, a later candidate winning only when its F1 is higher by
+    more than 1e-15."""
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(labels, dtype=int)
+    distinct = np.unique(s)
+    span = distinct[-1] - distinct[0]
+    candidates = np.concatenate([
+        [distinct[0] - max(span, 1.0)],
+        (distinct[:-1] + distinct[1:]) / 2.0,
+        [distinct[-1] + max(span, 1.0)],
+    ])
+    best_thr, best_f1 = None, -1.0
+    for thr in candidates:
+        preds = (s > thr).astype(int)
+        score = f1(ConfusionCounts.from_predictions(preds, y)).value
+        if score > best_f1 + 1e-15:
+            best_thr, best_f1 = thr, score
+    return float(best_thr), float(best_f1)
+
+
 class TestThresholdMoving:
+    def test_matches_candidate_loop(self):
+        # the counted fit returns the loop's threshold and F1, bit for bit:
+        # random scores (455 candidates at n = 454, as on a README seed),
+        # scores rounded to one decimal (ties), calibration sets with one
+        # positive, and NaN and infinite scores
+        rng = np.random.default_rng(17)
+        cases = []
+        for n in (2, 3, 40, 454):
+            y = (rng.random(n) < 0.3).astype(int)
+            y[:2] = [1, 0]
+            cases.append((rng.normal(0, 2, n), y))
+        for n in (30, 300):
+            y = (rng.random(n) < 0.4).astype(int)
+            y[:2] = [1, 0]
+            cases.append((np.round(rng.normal(0, 1, n), 1), y))
+        for n in (2, 25, 454):
+            y = np.zeros(n, dtype=int)
+            y[rng.integers(n)] = 1
+            cases.append((rng.normal(0, 1, n), y))
+            cases.append((np.round(rng.normal(0, 1, n), 1), y))
+        cases.append(([0.3, np.nan, 0.9, 0.1, np.nan], [1, 1, 0, 1, 0]))
+        cases.append(([-np.inf, 0.2, np.inf, 0.7], [0, 1, 1, 0]))
+        cases.append(([np.inf, 0.5, 0.5, 0.1], [1, 0, 1, 0]))
+        for k, (s, y) in enumerate(cases):
+            got = threshold_moving_fit(s, y)
+            want = threshold_moving_loop(s, y)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (k, got, want)
+
     def test_four_point_example(self):
         thr, best = threshold_moving_fit([0.1, 0.4, 0.6, 0.9], [0, 1, 0, 1])
         assert thr == pytest.approx(0.25)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -19,7 +20,7 @@ from obil.data import LabeledDataset
 from obil.ensemble import load_ensemble
 from obil.experiment import (ConfigError, _aggregate, ingest_csv, parse_config,
                              write_csv)
-from obil.simulate import StreamScenario
+from obil.simulate import RegretLedger, StreamScenario
 
 
 def base_config(**overrides):
@@ -678,7 +679,75 @@ class TestSeedPool:
         assert out.strip() == "[]"
 
 
+class TestWriteRegret:
+    def test_bytes_of_the_per_row_repr_join(self, tmp_path):
+        # one "%d\t%r\t%r\t%r" template a row writes the bytes of joining
+        # each RegretLedger.rows() tuple's reprs; float() also for integer
+        # columns, and for values repr gives in other forms
+        rng = np.random.default_rng(5)
+        n = 1000
+        special = np.array([0.0, -0.0, 0.1 + 0.2, 1e-300, 5e-324, 1e300, np.inf, np.nan,
+                            1 / 3, 2.0 ** 53 + 1])
+        floats = rng.random(n)
+        floats[:len(special)] = special
+        ledgers = [
+            RegretLedger(np.arange(1, n + 1), floats, rng.random(n), rng.random(n),
+                         rng.random(n), np.cumsum(rng.random(n))),
+            RegretLedger(np.arange(1, n + 1), (rng.random(n) < 0.3).astype(int),
+                         rng.integers(0, 2, n), rng.random(n), rng.random(n),
+                         np.cumsum(rng.integers(0, 3, n))),
+            RegretLedger(np.arange(1, 2), np.array([1.0]), np.array([0.0]),
+                         np.array([0.6]), np.array([0.4]), np.array([0.2], np.float32)),
+        ]
+        for k, ledger in enumerate(ledgers):
+            path = tmp_path / f"regret_{k}.tsv"
+            experiment.write_regret(path, ledger)
+            want = "t\talg_loss\toracle_loss\tcum_regret\n" + "".join(
+                "\t".join(repr(v) for v in row) + "\n" for row in ledger.rows())
+            assert path.read_bytes() == want.encode(), k
+
+
 class TestDigestsTool:
+    def load_tool(self):
+        tool = Path(__file__).resolve().parent.parent / "tools" / "digests.py"
+        spec = importlib.util.spec_from_file_location("digests_tool", tool)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_expect_names_each_differing_path(self, tmp_path, monkeypatch, capsys):
+        # --expect prints the lines as before, then names on stderr each path
+        # whose digest differs from the saved listing or that one side lacks,
+        # and exits 1; a matching listing exits 0, a missing one 2
+        digests = self.load_tool()
+
+        def fake_outputs(root, out):
+            (out / "a").mkdir()
+            (out / "a" / "report.json").write_bytes(b"{}")
+            (out / "b.bin").write_bytes(b"\x00")
+            (out / "c.tsv").write_bytes(b"t\n")
+
+        monkeypatch.setattr(digests, "write_outputs", fake_outputs)
+        root = Path(__file__).resolve().parent.parent
+        assert digests.main(["--root", str(root)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" ", 1)[1] for line in lines] == ["a/report.json", "b.bin", "c.tsv"]
+        saved = tmp_path / "saved.txt"
+        saved.write_text("\n".join(lines) + "\n")
+        assert digests.main(["--root", str(root), "--expect", str(saved)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == lines and captured.err == ""
+
+        other = [lines[0], "00000000 b.bin", "12345678 d/trace.jsonl"]
+        saved.write_text("\n".join(other) + "\n")
+        assert digests.main(["--root", str(root), "--expect", str(saved)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == lines
+        assert captured.err.splitlines() == ["differs: b.bin", "differs: c.tsv",
+                                             "differs: d/trace.jsonl"]
+        assert digests.main(["--root", str(root), "--expect", str(tmp_path / "none")]) == 2
+        assert capsys.readouterr().err.endswith("none: no such file or directory\n")
+
     def test_missing_checkout_parts_exit_2(self, tmp_path):
         # a --root without src/obil, or without perfbench/run.py, ends in one
         # `error:` line naming the missing path and exit code 2

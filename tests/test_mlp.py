@@ -373,30 +373,34 @@ class TestMcDropout:
         assert outs.shape == (3, 7)
         np.testing.assert_allclose(outs[0], scorer.forward(xs), rtol=1e-15)
 
-    def test_batch_replay_oracle(self):
+    def test_batch_replay_oracle(self, monkeypatch):
         # replay the batch passes with a twin generator: the lane masks of
         # all passes, pass after pass, as float masks 2**16 / k or 0, then
-        # each pass separately; the blocked passes (boolean masks drawn up front,
-        # layer 1 once, b = max(1, 2**17 // (n * widest layer)) passes at a
-        # time) must give the same bits and leave the generator where the
-        # twin is.  With hidden (64, 32) and m = 30, n = 250 runs blocks of
-        # 8/8/8/6 and n = 1 one block of 30.  The plain output is
+        # each pass separately over all rows; the blocked passes (boolean
+        # masks drawn up front, layer 1 once, b = max(1, 2**17 // (n * widest
+        # layer)) passes at a time, over row tiles) must give the same bits
+        # and leave the generator where the twin is, on 1, 2 or 3 CPUs.  With
+        # hidden (64, 32) and m = 30, n = 250 runs blocks of 8/8/8/6 on one
+        # CPU and n = 1 one block of 30; n = 1025, 2049 and 4000 run one pass
+        # a block over tiles, where a naive split would leave a 1-row tile:
+        # on one CPU 1025 | 1984 + 65 | 2048 + 1952 rows, on two
+        # 960 + 65 | 1024 + 960 + 65 | 3 x 1024 + 928, on three
+        # 640 + 385 | 3 x 640 + 129 | 6 x 640 + 160.  The plain output is
         # scorer.forward's, bit for bit.
         acts = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}
-        rows = np.random.default_rng(7).normal(0, 1, (250, 2))
+        rows = np.random.default_rng(7).normal(0, 1, (4000, 2))
         cases = [((6, 4), "relu", rows[:5], 8), ((6, 4), "tanh", rows[:5], 8),
                  ((6, 5, 4), "relu", rows[:5], 8), ((6, 5, 4), "tanh", rows[:5], 8),
                  ((6, 4), "tanh", rows[1], 8),
-                 ((64, 32), "relu", rows, 30), ((64, 32), "tanh", rows, 30),
-                 ((64, 32), "relu", rows[:1], 30), ((64, 32), "tanh", rows[:1], 30)]
+                 ((64, 32), "relu", rows[:250], 30), ((64, 32), "tanh", rows[:250], 30),
+                 ((64, 32), "relu", rows[:1], 30), ((64, 32), "tanh", rows[:1], 30),
+                 ((64, 32), "relu", rows[:1025], 30), ((64, 32), "tanh", rows[:2049], 30),
+                 ((64, 32), "relu", rows[:4000], 30)]
         for hidden_dims, activation, xs, m in cases:
             x2 = np.atleast_2d(xs)
             cfg = NetworkConfig(input_dim=2, hidden_dims=hidden_dims, seed=9,
                                 activation=activation, dropout_rate=0.3)
             scorer = init_scorer(cfg, 2.0, "squared")
-            gen = np.random.default_rng(321)
-            plain, got = mc_dropout_outputs(scorer, xs, m, gen)
-
             rng = np.random.default_rng(321)
             keep = 1.0 - scorer.dropout_rate
             act = acts[activation]
@@ -407,12 +411,16 @@ class TestMcDropout:
                 hs = [act(h @ w + b) * masks[k] for k, h in enumerate(hs)]
             want = np.array([np.tanh(h @ scorer.weights[-1] + scorer.biases[-1])[:, 0]
                              for h in hs])
-            case = (hidden_dims, activation, x2.shape, m)
-            assert plain.tobytes() == scorer.forward(x2).tobytes(), case
-            assert got.shape == (m, len(x2)), case
-            assert got.tobytes() == want.tobytes(), case
-            assert gen.bit_generator.state == rng.bit_generator.state, case
-            assert np.ptp(got, axis=0).min() > 0.0, case  # dropout really varied the passes
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
+                gen = np.random.default_rng(321)
+                plain, got = mc_dropout_outputs(scorer, xs, m, gen)
+                case = (hidden_dims, activation, x2.shape, m, cpus)
+                assert plain.tobytes() == scorer.forward(x2).tobytes(), case
+                assert got.shape == (m, len(x2)), case
+                assert got.tobytes() == want.tobytes(), case
+                assert gen.bit_generator.state == rng.bit_generator.state, case
+                assert np.ptp(got, axis=0).min() > 0.0, case  # dropout really varied the passes
 
     def test_batch_wrong_input_dim(self):
         # layer 1 runs outside the pass loop; the input is still checked
@@ -427,27 +435,31 @@ class TestMcDropout:
         assert gen.bit_generator.state == state
 
     def test_batch_memory_below_one_float_block(self, monkeypatch):
-        # one call holds one block of passes and its boolean masks, on one
-        # thread or spread over two: at most 2**17 floats a layer or one
-        # pass a thread when that is larger (one pass at n = 4000; 8 passes
-        # at n = 250 on one thread, 4 on each of two), never a float
-        # (m, n, h1) block over all passes: 30 * n * 64 * 8 bytes, 58.6 MiB
-        # at n = 4000
+        # one mc_dropout_log_lr call holds layer 1's activation (n, 64), the
+        # (m, n) passes, turned into log-LRs in place beside one more (m, n)
+        # array, and one block: at most 2**17 floats a layer in the row tiles
+        # of all threads (two layers at once), and a thread's boolean masks
+        # of one pass (n * 96 bytes) and one word draw (128 KiB).  The bound
+        # does not grow with a pass's float layers (n * 96 * 8 bytes a
+        # thread) nor with a float (m, n, 64) block over all passes
+        # (m * n * 64 * 8 bytes, 153.6 MB at n = 10 000); m = 200 at n = 2000
+        # checks the log-LRs' one extra array
         cfg = NetworkConfig(input_dim=3, hidden_dims=(64, 32), seed=4, dropout_rate=0.1)
         scorer = init_scorer(cfg, 1.0, "squared")
-        m = 30
-        for cpus in (1, 2):
+        for cpus in (1, 2, 3):
             monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
-            for n in (4000, 250):
+            for n, m in ((10_000, 30), (4000, 30), (250, 30), (2000, 200)):
                 xs = np.random.default_rng(2).normal(0, 1, (n, 3))
                 tracemalloc.start()
                 try:
-                    _, outs = mc_dropout_outputs(scorer, xs, m, np.random.default_rng(0))
+                    _, var = mc_dropout_log_lr(scorer, xs, m, np.random.default_rng(0))
                     _, peak = tracemalloc.get_traced_memory()
                 finally:
                     tracemalloc.stop()
-                assert outs.shape == (m, n)
-                assert peak < m * n * 64 * 8, (cpus, n, peak)
+                block = 2 * mlp._MC_BLOCK_FLOATS * 8 + cpus * (n * 96 + mlp._DRAW_WORDS * 8)
+                bound = n * 64 * 8 + 2 * m * n * 8 + block + 65_536
+                assert var.shape == (n,)
+                assert peak < bound, (cpus, n, m, peak, bound)
 
     def test_empty_batch_draws_nothing(self):
         # a (0, d) batch gives (0,) plain and (m, 0) outputs and (0,)
@@ -576,14 +588,18 @@ class TestMcThreads:
         # every CPU count gives the oracle's bits and leaves the generator
         # where the oracle's is: one block (n = 1; n = 250 at (6, 5, 4)),
         # up to 4 blocks (n = 250 at (64, 32): 2 threads of 4, 4, 4, 3
-        # passes, or 3 of 3, 3, 3, 1) and one pass a block (n >= 2048).
-        # The plain output is scorer.forward's, bit for bit.
+        # passes, or 3 of 3, 3, 3, 1) and one pass a block (n >= 1025 at
+        # (64, 32)) over row tiles of 2048, 1024 or 640 rows on 1, 2 or 3
+        # CPUs.  n = 1025, 2049 and 4000 are where a naive split goes wrong:
+        # it leaves a 1-row tile at 1025 and 2049 on two CPUs and at 2049 on
+        # one, and 6 tiles of about 667 rows at 4000 on three.  The plain
+        # output is scorer.forward's, bit for bit.
         m = 30
         rows = np.random.default_rng(7).normal(0, 1, (4000, 2))
         for hidden_dims in ((64, 32), (6, 5, 4)):
             for activation in ("relu", "tanh"):
                 scorer = self.scorer(hidden_dims, activation)
-                for n in (1, 250, 2048, 4000):
+                for n in (1, 250, 1025, 2048, 2049, 4000):
                     want_gen = np.random.default_rng(321)
                     want = replay_passes(scorer, rows[:n], m, want_gen)
                     b1 = max(1, 2 ** 17 // (n * max(hidden_dims)))
@@ -645,6 +661,47 @@ class TestMcThreads:
             blocks.clear()
             mc_dropout_outputs(scorer, xs, 30, np.random.default_rng(0))
             assert sorted(blocks) == sorted(sizes), cpus
+
+    def test_tiles_hold_one_block_a_layer(self, monkeypatch):
+        # whatever n is, every masked product of a block is a tile of rows
+        # with t * b * rows * widest <= 2**17: all threads' tiles together
+        # hold at most one block of floats a layer.  Tiles start at
+        # multiples of 64 rows, none is 1 row (but a 1-row batch), several
+        # tiles come only with one pass a block, they cover the n rows once
+        # a block, and the plain pass (recorded with b = 0) runs on the same
+        # tiles
+        scorer = self.scorer((64, 32))
+        real = scorer._hidden_pass
+        calls = []
+
+        def recorded(x, masks=None, **kwargs):
+            start = (x.ctypes.data - xs.ctypes.data) // xs.strides[0]
+            calls.append((0 if masks is None else masks[0].shape[0], start, x.shape[0]))
+            return real(x, masks=masks, **kwargs)
+
+        monkeypatch.setattr(scorer, "_hidden_pass", recorded)
+        m = 6
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
+            for n in (1, 250, 1025, 2049, 4000, 10_000, 20_000):
+                xs = np.random.default_rng(3).normal(0, 1, (n, 2))
+                calls.clear()
+                mc_dropout_outputs(scorer, xs, m, np.random.default_rng(0))
+                b1 = max(1, mlp._MC_BLOCK_FLOATS // (n * 64))
+                blocks = -(-m // b1)
+                t = min(cpus, blocks) if blocks > 1 else 1
+                masked = [c for c in calls if c[0] > 0]
+                tiles = sorted({(start, rows) for _, start, rows in masked})
+                case = (cpus, n)
+                assert max(t * b * rows * 64 for b, _, rows in masked) <= mlp._MC_BLOCK_FLOATS, case
+                assert sorted((start, rows) for b, start, rows in calls if b == 0) == tiles, case
+                assert sum(b * rows for b, _, rows in masked) == m * n, case
+                assert [start for start, _ in tiles] == \
+                    [0] + list(np.cumsum([rows for _, rows in tiles])[:-1]), case
+                assert all(start % 64 == 0 for start, _ in tiles), case
+                assert all(rows > 1 for _, rows in tiles) or n == 1, case
+                assert len(tiles) == 1 or all(b == 1 for b, _, _ in masked), case
+        assert len(tiles) == 32  # 20 000 rows on three CPUs: 31 tiles of 640, one of 160
 
     def test_one_cursor_a_range(self, monkeypatch):
         # at n = 250, widths (64, 32) and m = 30, one CPU runs 4 blocks

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from obil.adapter import AdapterConfig, init, step
-from obil.bayes import cost_sensitive_loss
+from obil.bayes import PRIOR_FLOOR, cost_sensitive_loss
 from obil.simulate import (GaussianProblem, PriorTrajectory, RegretLedger,
                            StreamScenario, oracle_decision, oracle_threshold,
                            run_regret_experiment, sample_step)
@@ -111,6 +111,44 @@ class TestPriorTrajectory:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             PriorTrajectory(kind="sinusoid").p1_at(0)
+
+    def test_path_is_p1_at_bit_for_bit(self):
+        # p1_path(T) holds p1_at(t) for t < T, floor included, for every kind
+        trajectories = [
+            PriorTrajectory(kind="constant", p_before=0.07),
+            PriorTrajectory(kind="constant", p_before=0.0),
+            PriorTrajectory(kind="constant", p_before=1.0),
+            PriorTrajectory(kind="abrupt", p_before=0.03, p_after=0.12, t_switch=500,
+                            decay_steps=0),
+            PriorTrajectory(kind="abrupt", p_before=0.03, p_after=0.12, t_switch=0,
+                            decay_steps=0),
+            PriorTrajectory(kind="abrupt", p_before=0.03, p_after=0.12, t_switch=500,
+                            decay_steps=1000),
+            PriorTrajectory(kind="abrupt", p_before=0.3, p_after=0.001, t_switch=0,
+                            decay_steps=777),
+            PriorTrajectory(kind="abrupt", p_before=0.2, p_after=0.7, t_switch=1900,
+                            decay_steps=3),
+            PriorTrajectory(kind="abrupt", p_before=0.2, p_after=0.7, t_switch=5000,
+                            decay_steps=10),
+            PriorTrajectory(kind="abrupt", p_before=0.2, p_after=0.7, t_switch=-40,
+                            decay_steps=100),
+            PriorTrajectory(kind="linear_drift", p_start=0.05, slope=3e-5, p_cap=0.4),
+            PriorTrajectory(kind="linear_drift", p_start=0.2, slope=1e-3, p_cap=0.8),
+            PriorTrajectory(kind="linear_drift", p_start=0.3, slope=-1e-3, p_cap=0.1),
+            PriorTrajectory(kind="linear_drift", p_start=0.9, slope=-7e-4, p_cap=0.0),
+            PriorTrajectory(kind="linear_drift", p_start=0.1, slope=0.0, p_cap=0.8),
+        ]
+        horizon = 2000
+        for traj in trajectories:
+            want = np.array([traj.p1_at(t) for t in range(horizon)])
+            got = traj.p1_path(horizon)
+            assert got.dtype == np.float64 and got.shape == (horizon,), traj
+            assert got.tobytes() == want.tobytes(), traj
+        # the cap is reached and the floor holds where the trajectories say
+        assert trajectories[11].p1_path(horizon)[-1] == 0.8
+        assert trajectories[12].p1_path(horizon)[-1] == 0.1
+        assert trajectories[13].p1_path(horizon)[-1] == PRIOR_FLOOR
+        assert trajectories[1].p1_path(1)[0] == PRIOR_FLOOR
 
 
 class TestSampleStep:

@@ -4,6 +4,11 @@ Run from anywhere, with numpy installed:
 
     python3 tools/digests.py                     # this checkout
     python3 tools/digests.py --root OTHER_CHECKOUT
+    python3 tools/digests.py --expect SAVED.txt  # check against saved lines
+
+With `--expect`, the lines are still printed; then every path whose line
+differs from the saved listing (a saved output of this tool), or that only
+one side has, is named on stderr, and the exit code is 1 if any did.
 
 The commands, each through `obil.cli.main` in this process:
 
@@ -111,22 +116,40 @@ def digest_lines(out: Path):
         yield f"{digest} {path.relative_to(out).as_posix()}"
 
 
+def differing_paths(lines, expected):
+    """Paths whose digest differs between two listings, or that one lacks."""
+    def by_path(listing):
+        return {path: digest for digest, path in
+                (line.split(" ", 1) for line in listing if line.strip())}
+    got, want = by_path(lines), by_path(expected)
+    return sorted(p for p in got.keys() | want.keys() if got.get(p) != want.get(p))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=REPO,
                         help="checkout whose src/ and perfbench/run.py are used")
+    parser.add_argument("--expect", type=Path,
+                        help="saved listing to compare with; exit 1 if any line differs")
     args = parser.parse_args(argv)
     root = args.root.resolve()
-    for needed in (root / "src" / "obil", root / "perfbench" / "run.py"):
-        if not needed.exists():
-            print(f"error: {needed}: no such file or directory", file=sys.stderr)
+    needed = [root / "src" / "obil", root / "perfbench" / "run.py"]
+    for path in needed + ([args.expect] if args.expect else []):
+        if not path.exists():
+            print(f"error: {path}: no such file or directory", file=sys.stderr)
             return 2
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         write_outputs(root, out)
-        for line in digest_lines(out):
-            print(line)
-    return 0
+        lines = list(digest_lines(out))
+    for line in lines:
+        print(line)
+    if args.expect is None:
+        return 0
+    differ = differing_paths(lines, args.expect.read_text().splitlines())
+    for path in differ:
+        print(f"differs: {path}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

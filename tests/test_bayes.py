@@ -136,6 +136,21 @@ class TestLrFromOutput:
                 log_lr_from_output(grid, qp),
                 np.log(lr_from_output(grid, qp)), rtol=1e-12)
 
+    def test_in_place_form_has_the_same_bits(self):
+        # with out (o itself or another array) the log-LR has the bits of
+        # the allocating expression, and is written into out
+        rng = np.random.default_rng(5)
+        for shape in ((1,), (30, 1), (7, 250)):
+            o = clamp_output(np.tanh(rng.normal(0, 3, shape)))
+            for qp in (0.25, 1.0, 7.0):
+                want = log_lr_from_output(o, qp)
+                other = np.empty(shape)
+                assert log_lr_from_output(o, qp, out=other) is other
+                assert other.tobytes() == want.tobytes(), (shape, qp)
+                same = o.copy()
+                assert log_lr_from_output(same, qp, out=same) is same
+                assert same.tobytes() == want.tobytes(), (shape, qp)
+
 
 def analytic_posterior(q_l, qp_tilde):
     # posterior under a modified prior pair with the same class conditionals

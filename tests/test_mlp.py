@@ -437,9 +437,9 @@ class TestMcDropout:
     def test_batch_memory_below_one_float_block(self, monkeypatch):
         # one mc_dropout_log_lr call holds layer 1's activation (n, 64), the
         # (m, n) passes, turned into log-LRs in place beside one more (m, n)
-        # array, and one block: at most 2**17 floats a layer in the row tiles
-        # of all threads (two layers at once), and a thread's boolean masks
-        # of one pass (n * 96 bytes) and one word draw (128 KiB).  The bound
+        # array, and per thread one block: at most 2**17 floats a layer in
+        # its row tiles (two layers at once), its boolean masks of one pass
+        # (n * 96 bytes) and one word draw (128 KiB).  The bound
         # does not grow with a pass's float layers (n * 96 * 8 bytes a
         # thread) nor with a float (m, n, 64) block over all passes
         # (m * n * 64 * 8 bytes, 153.6 MB at n = 10 000); m = 200 at n = 2000
@@ -456,7 +456,7 @@ class TestMcDropout:
                     _, peak = tracemalloc.get_traced_memory()
                 finally:
                     tracemalloc.stop()
-                block = 2 * mlp._MC_BLOCK_FLOATS * 8 + cpus * (n * 96 + mlp._DRAW_WORDS * 8)
+                block = cpus * (2 * mlp._MC_BLOCK_FLOATS * 8 + n * 96 + mlp._DRAW_WORDS * 8)
                 bound = n * 64 * 8 + 2 * m * n * 8 + block + 65_536
                 assert var.shape == (n,)
                 assert peak < bound, (cpus, n, m, peak, bound)
@@ -664,12 +664,12 @@ class TestMcThreads:
 
     def test_tiles_hold_one_block_a_layer(self, monkeypatch):
         # whatever n is, every masked product of a block is a tile of rows
-        # with t * b * rows * widest <= 2**17: all threads' tiles together
-        # hold at most one block of floats a layer.  Tiles start at
-        # multiples of 64 rows, none is 1 row (but a 1-row batch), several
-        # tiles come only with one pass a block, they cover the n rows once
-        # a block, and the plain pass (recorded with b = 0) runs on the same
-        # tiles
+        # with b * rows * widest <= 2**17: each thread's tiles hold at most
+        # one block of floats a layer.  The tiles are the same on every CPU
+        # count, start at multiples of 64 rows, none is 1 row (but a 1-row
+        # batch), several tiles come only with one pass a block, they cover
+        # the n rows once a block, and the plain pass (recorded with b = 0)
+        # runs on the same tiles
         scorer = self.scorer((64, 32))
         real = scorer._hidden_pass
         calls = []
@@ -681,19 +681,17 @@ class TestMcThreads:
 
         monkeypatch.setattr(scorer, "_hidden_pass", recorded)
         m = 6
+        tilings = {}
         for cpus in (1, 2, 3):
             monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
             for n in (1, 250, 1025, 2049, 4000, 10_000, 20_000):
                 xs = np.random.default_rng(3).normal(0, 1, (n, 2))
                 calls.clear()
                 mc_dropout_outputs(scorer, xs, m, np.random.default_rng(0))
-                b1 = max(1, mlp._MC_BLOCK_FLOATS // (n * 64))
-                blocks = -(-m // b1)
-                t = min(cpus, blocks) if blocks > 1 else 1
                 masked = [c for c in calls if c[0] > 0]
                 tiles = sorted({(start, rows) for _, start, rows in masked})
                 case = (cpus, n)
-                assert max(t * b * rows * 64 for b, _, rows in masked) <= mlp._MC_BLOCK_FLOATS, case
+                assert max(b * rows * 64 for b, _, rows in masked) <= mlp._MC_BLOCK_FLOATS, case
                 assert sorted((start, rows) for b, start, rows in calls if b == 0) == tiles, case
                 assert sum(b * rows for b, _, rows in masked) == m * n, case
                 assert [start for start, _ in tiles] == \
@@ -701,7 +699,10 @@ class TestMcThreads:
                 assert all(start % 64 == 0 for start, _ in tiles), case
                 assert all(rows > 1 for _, rows in tiles) or n == 1, case
                 assert len(tiles) == 1 or all(b == 1 for b, _, _ in masked), case
-        assert len(tiles) == 32  # 20 000 rows on three CPUs: 31 tiles of 640, one of 160
+                assert tilings.setdefault(n, tiles) == tiles, case
+        assert [len(tilings[n]) for n in (1, 250, 1025, 2049, 4000, 10_000, 20_000)] == \
+            [1, 1, 1, 2, 2, 5, 10]
+        assert tilings[2049] == [(0, 1984), (1984, 65)]  # no 1-row last tile
 
     def test_one_cursor_a_range(self, monkeypatch):
         # at n = 250, widths (64, 32) and m = 30, one CPU runs 4 blocks

@@ -8,6 +8,28 @@ from obil.simulate import (GaussianProblem, PriorTrajectory, RegretLedger,
                            run_regret_experiment, sample_step)
 
 
+def scalar_p1(traj, t: int) -> float:
+    """The per-step prior formula PriorTrajectory used before it had an
+    array form, kept here as the reference for its bits.
+    """
+    if traj.kind == "constant":
+        p = traj.p_before
+    elif traj.kind == "abrupt":
+        if t < traj.t_switch:
+            p = traj.p_before
+        elif traj.decay_steps > 0 and t < traj.t_switch + traj.decay_steps:
+            frac = (t - traj.t_switch) / traj.decay_steps
+            p = traj.p_after + (traj.p_before - traj.p_after) * frac
+        elif traj.decay_steps > 0:
+            p = traj.p_before
+        else:
+            p = traj.p_after
+    else:  # linear_drift
+        p = min(traj.p_start + traj.slope * t, traj.p_cap) if traj.slope >= 0 \
+            else max(traj.p_start + traj.slope * t, traj.p_cap)
+    return min(max(p, PRIOR_FLOOR), 1.0 - PRIOR_FLOOR)
+
+
 def unit_problem():
     return GaussianProblem(mu0=np.array([-1.0]), mu1=np.array([1.0]), sigma2=1.0)
 
@@ -112,8 +134,9 @@ class TestPriorTrajectory:
         with pytest.raises(ValueError):
             PriorTrajectory(kind="sinusoid").p1_at(0)
 
-    def test_path_is_p1_at_bit_for_bit(self):
-        # p1_path(T) holds p1_at(t) for t < T, floor included, for every kind
+    def test_path_is_scalar_formula_bit_for_bit(self):
+        # p1_path(T) and p1_at(t) hold the scalar formula's p1 for t < T,
+        # floor included, for every kind
         trajectories = [
             PriorTrajectory(kind="constant", p_before=0.07),
             PriorTrajectory(kind="constant", p_before=0.0),
@@ -140,10 +163,13 @@ class TestPriorTrajectory:
         ]
         horizon = 2000
         for traj in trajectories:
-            want = np.array([traj.p1_at(t) for t in range(horizon)])
+            want = np.array([scalar_p1(traj, t) for t in range(horizon)])
             got = traj.p1_path(horizon)
             assert got.dtype == np.float64 and got.shape == (horizon,), traj
             assert got.tobytes() == want.tobytes(), traj
+            for t in (-3, 0, 1, 499, 500, 1999, 10**9):
+                assert traj.p1_at(t) == scalar_p1(traj, t), (traj, t)
+                assert type(traj.p1_at(t)) is float, (traj, t)
         # the cap is reached and the floor holds where the trajectories say
         assert trajectories[11].p1_path(horizon)[-1] == 0.8
         assert trajectories[12].p1_path(horizon)[-1] == 0.1

@@ -24,7 +24,7 @@ def threshold_moving_fit(scores, labels):
     """
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels, dtype=int)
-    if y.min() == y.max():
+    if y.size == 0 or y.min() == y.max():
         raise FitFailure("threshold fit needs both classes")
     distinct = np.unique(s)
     if distinct.size < 2:

@@ -141,7 +141,7 @@ def fit_temperature(logits, labels, lo: float = 0.05, hi: float = 20.0,
     """
     z = np.asarray(logits, dtype=float)
     y = np.asarray(labels, dtype=int)
-    if y.min() == y.max():
+    if y.size == 0 or y.min() == y.max():
         raise FitFailure("temperature fit needs both classes")
 
     def nll(temp):

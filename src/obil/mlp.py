@@ -90,70 +90,62 @@ class CalibratedScorer:
             return np.maximum(z, 0.0, out=out)
         return np.tanh(z, out=out)
 
-    def _act_grad(self, z):
+    def _act_grad(self, a):
+        """d act / dz from the unmasked activation a = act(z): a > 0 for
+        relu, 1 - a**2 for tanh (the bits of 1 - tanh(z)**2)."""
         if self.activation == "relu":
-            return z > 0
-        return 1.0 - np.tanh(z) ** 2
+            return a > 0
+        return 1.0 - a ** 2
 
     def _check_input(self, x):
         if x.shape[-1] != self.input_dim:
             raise ShapeError(f"expected input dim {self.input_dim}, got {x.shape[-1]}")
 
-    def _hidden_pass(self, x, record=None, masks=None, first=None):
+    def _layer(self, i, h):
+        """Layer i of h: h @ W_i, then b_i and (for a hidden layer) the
+        activation applied in place, so the layer holds one new array."""
+        a = h @ self.weights[i]
+        a += self.biases[i]
+        if i < len(self.weights) - 1:
+            self._act(a, out=a)
+        return a
+
+    def _hidden_pass(self, x, masks=None, scale=None, record=None, first=None):
         """Run up to the scalar pre-activation; optionally record layer state.
 
         Leading axes of x (such as MC passes) broadcast.  Dropout is on
         exactly when `masks` supplies the boolean keep-masks, one per hidden
         layer, broadcasting against that layer's activation; this method
-        draws no random numbers.  With a record (training, _batch_masks'
-        masks) kept activations are scaled by 1/keep; without one (MC
-        inference: _draw_masks' lane masks, each layer's a view into one
-        pass-major array, kept with probability k / 2**16 for
-        k = _lane_keep(keep)) by 2**16 / k.  `first` is layer 1's
-        unmasked activation act(x @ W1 + b1) when the caller has already
-        computed it; x is then only checked.  Without a record, each layer's
-        bias, activation and mask are applied in place on its matmul
-        output, so a layer holds one array, not z, act(z) and their product;
-        large temporaries freed and reallocated every pass are what make
-        the allocator return and re-fault their pages.  With a record, each
-        layer's input, z and float mask masks[i] / keep (None without
-        dropout) are kept for backprop; a float mask entry is exactly 1/keep
-        or 0, so multiplying by it gives the bits of multiplying by the
-        boolean mask and then by 1/keep.
+        draws no random numbers.  The one mask rule: a layer's activation is
+        multiplied by its boolean mask, then by the caller's `scale` (1/keep
+        for training's _batch_masks, 2**16 / _lane_keep(keep) for
+        _draw_masks' lane masks).  `first` is layer 1's unmasked activation
+        act(x @ W1 + b1) when the caller has already computed it; x is then
+        only checked.  Each layer's bias, activation and mask are applied in
+        place on its matmul output, so a layer holds one array, not z, act(z)
+        and their product; large temporaries freed and reallocated every pass
+        are what make the allocator return and re-fault their pages.  Only an
+        activation that must outlive the pass, `first` or a recorded one, is
+        masked on a copy.  A record gets each layer's input and unmasked
+        activation (None for the output layer), which is all backprop needs.
         """
         self._check_input(x)
         h = x
-        keep = 1.0 - self.dropout_rate
-        if masks is not None and record is None:
-            scale = _LANE_VALUES / _lane_keep(keep)
-        for i in range(len(self.weights) - 1):
-            if i == 0 and first is not None:
-                z, a = None, first
-            elif record is not None:
-                z = h @ self.weights[i] + self.biases[i]
-                a = self._act(z)
-            else:
-                z, a = None, h @ self.weights[i]
-                a += self.biases[i]
-                self._act(a, out=a)
-            mask = None
-            if masks is not None:
-                if record is not None:
-                    mask = masks[i] / keep
-                    a = a * mask
-                else:
-                    if a is first:
-                        a = a * masks[i]
-                    else:
-                        a *= masks[i]
-                    a *= scale
+        n_hidden = len(self.weights) - 1
+        for i in range(n_hidden):
+            a = first if i == 0 and first is not None else self._layer(i, h)
             if record is not None:
-                record.append((h, z, mask))
+                record.append((h, a))
+            if masks is not None:
+                if a is first or record is not None:
+                    a = a * masks[i]
+                else:
+                    a *= masks[i]
+                a *= scale
             h = a
-        z_out = h @ self.weights[-1] + self.biases[-1]
         if record is not None:
-            record.append((h, z_out, None))
-        return z_out[..., 0]
+            record.append((h, None))
+        return self._layer(n_hidden, h)[..., 0]
 
     def logits(self, x):
         """Raw scalar pre-activation, batched or single-vector."""
@@ -221,18 +213,19 @@ def loss_and_gradients(scorer: CalibratedScorer, x, labels, loss: LossSpec,
     """Mean loss over the batch and gradients for every weight/bias array.
 
     `masks` are the batch's boolean keep-masks, one (n, h) array per hidden
-    layer (_batch_masks', scaled by 1/keep); without them dropout is off.
-    The gradients are written into `out`, arrays shaped and ordered as
-    scorer.parameters() (by default views into one new flat buffer), and
-    `out` is returned.  With gradients=False only the loss is computed, and
-    None stands for them.
+    layer (_batch_masks'); without them dropout is off.  The forward pass
+    and backprop apply them by the one mask rule: multiply by the boolean
+    mask, then by 1/keep.  The gradients are written into `out`, arrays
+    shaped and ordered as scorer.parameters() (by default views into one new
+    flat buffer), and `out` is returned.  The pass is recorded only for
+    them: with gradients=False only the loss is computed, and None stands
+    for them.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
-    # the recorded pass is the one that scales masks by 1/keep, so it runs
-    # whenever there are masks
-    record = [] if gradients or masks is not None else None
-    z_out = scorer._hidden_pass(x, masks=masks, record=record)
+    scale = 1.0 / (1.0 - scorer.dropout_rate)
+    record = [] if gradients else None
+    z_out = scorer._hidden_pass(x, masks=masks, scale=scale, record=record)
     t = _targets(labels, loss)
     o = z_out if loss.logit_space else np.tanh(z_out)
     values, dz = loss.fn(o, t, loss_weight)
@@ -247,11 +240,12 @@ def loss_and_gradients(scorer: CalibratedScorer, x, labels, loss: LossSpec,
     n_layers = len(scorer.weights)
     delta = dz[:, None]  # (n, 1) gradient at the output pre-activation
     for i in range(n_layers - 1, -1, -1):
-        h_in, z, mask = record[i]
+        h_in, a = record[i]
         if i < n_layers - 1:
-            if mask is not None:
-                upstream = upstream * mask
-            delta = upstream * scorer._act_grad(z)
+            if masks is not None:
+                upstream *= masks[i]
+                upstream *= scale
+            delta = upstream * scorer._act_grad(a)
         np.matmul(h_in.T, delta, out=out[i])
         delta.sum(axis=0, out=out[n_layers + i])
         if i > 0:
@@ -459,7 +453,7 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
     words = ceil(n * sum(widths) / 4) fresh 64-bit words cut layer after
     layer.  An entry is kept with probability k / 2**16,
     k = _lane_keep(1 - dropout_rate), and kept activations are scaled by
-    2**16 / k.  With b1 = max(1, _MC_BLOCK_FLOATS // (n * widest hidden
+    2**16 / k, one `scale` a call for every pass.  With b1 = max(1, _MC_BLOCK_FLOATS // (n * widest hidden
     layer)) passes a block on one thread, the m passes are cut into
     t = min(usable_cpus(), ceil(m / b1)) contiguous ranges (one, without
     asking for the CPU count, when ceil(m / b1) <= 1; m = 0 draws nothing),
@@ -498,10 +492,9 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
     if scorer.dropout_rate == 0.0 or n == 0:  # nothing to draw
         plain = scorer._bounded(scorer._hidden_pass(x))
         return plain, np.broadcast_to(plain, (m, n))
-    first = x @ scorer.weights[0]
-    first += scorer.biases[0]
-    scorer._act(first, out=first)
+    first = scorer._layer(0, x)
     keep = 1.0 - scorer.dropout_rate
+    scale = _LANE_VALUES / _lane_keep(keep)
     widths = [w.shape[1] for w in scorer.weights[:-1]]
     widest = max(widths)
     per_pass = n * widest
@@ -519,9 +512,10 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
         # the passes of a block over the rows r (the plain pass without
         # masks); one tile, as for a query, runs on the arrays themselves
         if len(tiles) == 1:
-            return scorer._hidden_pass(x, first=first, masks=masks)
-        return scorer._hidden_pass(x[r], first=first[r],
-                                   masks=None if masks is None else [mk[:, r] for mk in masks])
+            return scorer._hidden_pass(x, masks=masks, scale=scale, first=first)
+        return scorer._hidden_pass(
+            x[r], masks=None if masks is None else [mk[:, r] for mk in masks],
+            scale=scale, first=first[r])
 
     def run_range(start, stop, gen):
         # each block stays a stacked (b, rows, h) product: a 2-D (b * rows, h)

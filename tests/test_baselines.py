@@ -84,6 +84,8 @@ class TestThresholdMoving:
     def test_single_class(self):
         with pytest.raises(FitFailure):
             threshold_moving_fit([0.1, 0.9], [1, 1])
+        with pytest.raises(FitFailure):  # no labels: no class at all
+            threshold_moving_fit([], [])
         # one exception type for every fit failure in the package
         assert obil.baselines.FitFailure is obil.metrics.FitFailure
 

@@ -215,6 +215,8 @@ class TestFitTemperature:
     def test_single_class_raises(self):
         with pytest.raises(FitFailure):
             fit_temperature([0.1, 0.2, 0.3], [1, 1, 1])
+        with pytest.raises(FitFailure):  # no labels: no class at all
+            fit_temperature([], [])
 
     def test_temperature_preserves_ranking_and_auprc(self):
         rng = np.random.default_rng(5)

@@ -535,7 +535,8 @@ class TestMcDropout:
             first = scorer._act(xs @ scorer.weights[0] + scorer.biases[0])
             tracemalloc.start()
             try:
-                z = scorer._hidden_pass(xs, masks=masks, first=first)
+                z = scorer._hidden_pass(xs, masks=masks, scale=65536 / lane_keep(0.9),
+                                        first=first)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -546,6 +547,44 @@ class TestMcDropout:
             want = (h @ scorer.weights[-1] + scorer.biases[-1])[..., 0]
             assert z.shape == (1, n), activation
             assert z.tobytes() == want.tobytes(), activation
+
+    def test_recorded_and_in_place_passes_share_one_mask_rule(self):
+        # training's recorded pass and the MC passes' in-place one apply the
+        # same boolean masks and scale the same way: multiply by the mask,
+        # then by the scale.  They give the same z bytes, with layer 1 given
+        # or not, and a given layer 1 is left as it was.  The record keeps
+        # each layer's input and unmasked activation act(h @ W + b)
+        acts = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}
+        xs = np.random.default_rng(1).normal(0, 1, (40, 3))
+        masks = mlp._batch_masks(np.random.default_rng(0), 40, [6, 5, 4], 0.7)
+        for activation in ("relu", "tanh"):
+            cfg = NetworkConfig(input_dim=3, hidden_dims=(6, 5, 4), seed=2,
+                                activation=activation, dropout_rate=0.3)
+            scorer = init_scorer(cfg, 1.0, "squared")
+            act = acts[activation]
+            for scale in (1 / 0.7, 65536 / lane_keep(0.7)):
+                h = xs
+                for w, b, mask in zip(scorer.weights, scorer.biases, masks):
+                    h = act(h @ w + b) * mask * scale
+                want = (h @ scorer.weights[-1] + scorer.biases[-1])[..., 0]
+                for given in (False, True):
+                    case = (activation, scale, given)
+                    first = act(xs @ scorer.weights[0] + scorer.biases[0]) if given else None
+                    kept = None if first is None else first.copy()
+                    record = []
+                    recorded = scorer._hidden_pass(xs, masks=masks, scale=scale,
+                                                   record=record, first=first)
+                    in_place = scorer._hidden_pass(xs, masks=masks, scale=scale, first=first)
+                    assert recorded.tobytes() == in_place.tobytes() == want.tobytes(), case
+                    if given:
+                        assert first.tobytes() == kept.tobytes(), case
+                    assert len(record) == len(scorer.weights), case
+                    assert record[0][0] is xs and record[-1][1] is None, case
+                    for i, (h_in, a) in enumerate(record[:-1]):
+                        unmasked = act(h_in @ scorer.weights[i] + scorer.biases[i])
+                        assert a.tobytes() == unmasked.tobytes(), (case, i)
+                        masked = record[i + 1][0]
+                        assert masked.tobytes() == (a * masks[i] * scale).tobytes(), (case, i)
 
     def test_batch_variance_nonnegative_and_shaped(self):
         cfg = NetworkConfig(input_dim=2, hidden_dims=(8,), seed=2,

@@ -58,20 +58,26 @@ class LikelihoodRatioEnsemble:
     members: list
     config: EnsembleConfig
 
+    def __post_init__(self):
+        if len(self.members) == 0:
+            raise ValueError("an ensemble needs at least one member")
+
     def member_log_lrs(self, x, rng: np.random.Generator):
         """Log-LRs and MC-dropout variances, two (K, n) arrays for n rows:
         one mc_dropout_log_lr call a member, members in order.
         """
-        per_member = [mc_dropout_log_lr(m, x, self.config.mc_samples, rng)
-                      for m in self.members]
-        return tuple(np.stack(a) for a in zip(*per_member))
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        logs, var = np.empty((2, len(self.members), len(x)))
+        for k, member in enumerate(self.members):
+            logs[k], var[k] = mc_dropout_log_lr(member, x, self.config.mc_samples, rng)
+        return logs, var
 
     def _variance_weights(self, var):
         """Softmax of -var / tau over the member axis (axis 0)."""
-        logw = -var / self.config.fusion_temperature
-        logw -= logw.max(axis=0)
+        logw = var / -self.config.fusion_temperature
+        logw -= np.maximum.reduce(logw, axis=0)
         w = np.exp(logw)
-        return w / w.sum(axis=0)
+        return w / np.add.reduce(w, axis=0)
 
     def fusion_weights(self, x, rng: np.random.Generator):
         """Softmax of negative MC-dropout variances, temperature tau."""
@@ -79,8 +85,8 @@ class LikelihoodRatioEnsemble:
 
     def _fused(self, x, rng: np.random.Generator) -> np.ndarray:
         """Weighted geometric mean of member ratios, in log space, per row."""
-        logs, var = self.member_log_lrs(np.atleast_2d(np.asarray(x, dtype=float)), rng)
-        return np.sum(self._variance_weights(var) * logs, axis=0)
+        logs, var = self.member_log_lrs(x, rng)
+        return np.add.reduce(self._variance_weights(var) * logs, axis=0)
 
     def fused_log_lr(self, x, rng: np.random.Generator) -> float:
         """Fused log-LR of one feature vector, shape (d,) or (1, d)."""

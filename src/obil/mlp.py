@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -101,16 +102,16 @@ class CalibratedScorer:
         if x.shape[-1] != self.input_dim:
             raise ShapeError(f"expected input dim {self.input_dim}, got {x.shape[-1]}")
 
-    def _layer(self, i, h):
-        """Layer i of h: h @ W_i, then b_i and (for a hidden layer) the
-        activation applied in place, so the layer holds one new array."""
-        a = h @ self.weights[i]
+    def _layer(self, i, h, out=None):
+        """Layer i of h: h @ W_i (into `out`), then b_i and (for a hidden
+        layer) the activation applied in place, so the layer holds one array."""
+        a = np.matmul(h, self.weights[i], out=out)
         a += self.biases[i]
         if i < len(self.weights) - 1:
             self._act(a, out=a)
         return a
 
-    def _hidden_pass(self, x, masks=None, scale=None, record=None, first=None):
+    def _hidden_pass(self, x, masks=None, scale=None, record=None, first=None, out=None):
         """Run up to the scalar pre-activation; optionally record layer state.
 
         Leading axes of x (such as MC passes) broadcast.  Dropout is on
@@ -120,8 +121,9 @@ class CalibratedScorer:
         multiplied by its boolean mask, then by the caller's `scale` (1/keep
         for training's _batch_masks, 2**16 / _lane_keep(keep) for
         _draw_masks' lane masks).  `first` is layer 1's unmasked activation
-        act(x @ W1 + b1) when the caller has already computed it; x is then
-        only checked.  Each layer's bias, activation and mask are applied in
+        act(x @ W1 + b1) when the caller has already computed it (and checked
+        x; without it x is checked here); `out` takes the output layer's
+        (..., 1) product.  Each layer's bias, activation and mask are applied in
         place on its matmul output, so a layer holds one array, not z, act(z)
         and their product; large temporaries freed and reallocated every pass
         are what make the allocator return and re-fault their pages.  Only an
@@ -129,7 +131,8 @@ class CalibratedScorer:
         masked on a copy.  A record gets each layer's input and unmasked
         activation (None for the output layer), which is all backprop needs.
         """
-        self._check_input(x)
+        if first is None:
+            self._check_input(x)
         h = x
         n_hidden = len(self.weights) - 1
         for i in range(n_hidden):
@@ -145,7 +148,7 @@ class CalibratedScorer:
             h = a
         if record is not None:
             record.append((h, None))
-        return self._layer(n_hidden, h)[..., 0]
+        return self._layer(n_hidden, h, out)[..., 0]
 
     def logits(self, x):
         """Raw scalar pre-activation, batched or single-vector."""
@@ -356,8 +359,11 @@ _DRAW_WORDS = 2 ** 14
 # Lanes a word holds, and the values a 16-bit lane takes.
 _LANES = 4
 _LANE_VALUES = 2 ** 16
+# Bit generators whose random_raw is one next_uint64 a word (not MT19937).
+_RAW64 = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
 
 
+@lru_cache
 def _lane_keep(keep: float) -> int:
     """k = round(keep * 2**16) clamped to [1, 2**16]: an inference mask
     entry is kept iff its 16-bit lane is below k, with probability k / 2**16.
@@ -368,10 +374,15 @@ def _lane_keep(keep: float) -> int:
 def _draw_lanes(gen: np.random.Generator, size) -> np.ndarray:
     """The 16-bit lanes of `size` raw 64-bit words, lane j of a word its bits
     16j..16j+15, as uint16 with 4 times the last axis.  Each word is one
-    next_uint64 of gen's bit generator (the draw a float64 takes), also on
-    MT19937, whose random_raw gives 32 bits.
+    next_uint64 of gen's bit generator (the draw a float64 takes): random_raw
+    on _RAW64, integers(0, 2**64 - 1, endpoint=True)'s words without its
+    argument handling, and that call on any other (MT19937's random_raw
+    gives 32 bits).
     """
-    words = gen.integers(0, 2 ** 64 - 1, size=size, dtype=np.uint64, endpoint=True)
+    if isinstance(gen.bit_generator, _RAW64):
+        words = gen.bit_generator.random_raw(size)
+    else:
+        words = gen.integers(0, 2 ** 64 - 1, size=size, dtype=np.uint64, endpoint=True)
     return words.astype("<u8", copy=False).view("<u2")  # little-endian: lane j is uint16 j
 
 
@@ -391,7 +402,7 @@ def _draw_masks(gen: np.random.Generator, widths: list, b: int, n: int,
     128 KiB whatever n is, and gen ends where one draw of the b passes'
     words would leave it.
     """
-    below = np.uint16(_lane_keep(keep) - 1)
+    below = _lane_keep(keep) - 1
     words = -(-(n * sum(widths)) // _LANES)  # a pass's words
     kept = np.empty((b, _LANES * words), dtype=bool)
     flat = kept.reshape(-1)
@@ -448,13 +459,16 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
 
     act(x @ W1 + b1) does not depend on the pass, so it is computed once,
     in place; the passes, then the plain output (no dropout: scorer.forward's
-    bits for a 2-D x), run on from it.  The masks are _draw_masks' 16-bit
-    lanes: the stream is pass after pass, each pass taking
-    words = ceil(n * sum(widths) / 4) fresh 64-bit words cut layer after
-    layer.  An entry is kept with probability k / 2**16,
-    k = _lane_keep(1 - dropout_rate), and kept activations are scaled by
-    2**16 / k, one `scale` a call for every pass.  With b1 = max(1, _MC_BLOCK_FLOATS // (n * widest hidden
-    layer)) passes a block on one thread, the m passes are cut into
+    bits for a 2-D x), run on from it, their output layers writing into one
+    (m + 1, n) array (plain its row m) that tanh is applied to in place.
+    The masks are _draw_masks' 16-bit lanes: the stream is pass after pass,
+    each pass taking words = ceil(n * sum(widths) / 4) fresh 64-bit words
+    (_draw_lanes: random_raw, or integers on MT19937) cut layer after layer.
+    An entry is kept with probability k / 2**16, k = _lane_keep(1 -
+    dropout_rate), and kept activations are scaled by 2**16 / k, one
+    `scale` for every pass.  With b1 = max(1,
+    _MC_BLOCK_FLOATS // (n * widest hidden layer)) passes a block on one
+    thread, the m passes are cut into
     t = min(usable_cpus(), ceil(m / b1)) contiguous ranges (one, without
     asking for the CPU count, when ceil(m / b1) <= 1; m = 0 draws nothing),
     one a thread (none when t = 1; OpenBLAS is first capped at one thread),
@@ -474,8 +488,8 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
     its own stream cursor, a Generator on a copy of rng's state moved by
     whole words to its first pass, s_j * words; rng is moved to the end of
     the stream (its buffered 32-bit half kept) once every block has
-    finished.  Held at once: layer 1's activation, the (m, n) passes (tanh
-    applied in place) and, per range, one block's boolean masks, one word
+    finished.  Held at once: layer 1's activation, the (m + 1, n) outputs
+    and, per range, one block's boolean masks, one word
     draw of at most _DRAW_WORDS (2**14) words, 128 KiB whatever n is, and
     one tile's layer arrays.  Every output bit, and rng's end state, is
     the same whatever the CPU count: neither the masks nor the tiles depend
@@ -492,43 +506,22 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
     if scorer.dropout_rate == 0.0 or n == 0:  # nothing to draw
         plain = scorer._bounded(scorer._hidden_pass(x))
         return plain, np.broadcast_to(plain, (m, n))
-    first = scorer._layer(0, x)
-    keep = 1.0 - scorer.dropout_rate
-    scale = _LANE_VALUES / _lane_keep(keep)
     widths = [w.shape[1] for w in scorer.weights[:-1]]
     widest = max(widths)
-    per_pass = n * widest
-    b = max(1, _MC_BLOCK_FLOATS // per_pass)
+    b = max(1, _MC_BLOCK_FLOATS // (n * widest))
     blocks = -(-m // b)
     # one block (a query; m = 0 is one empty range) needs no thread, and so
     # no CPU count, a system call that costs a query several microseconds
     t = min(usable_cpus(), blocks) if blocks > 1 else 1
-    b = max(1, _MC_BLOCK_FLOATS // (t * per_pass))
+    b = max(1, _MC_BLOCK_FLOATS // (t * n * widest))
     # the same tiles whatever t is; several tiles only when b1 = b = 1
     tiles = _row_tiles(n, _MC_BLOCK_FLOATS // widest)
-    z = np.empty((m, n))
-
-    def tile_pass(r, masks=None):
-        # the passes of a block over the rows r (the plain pass without
-        # masks); one tile, as for a query, runs on the arrays themselves
-        if len(tiles) == 1:
-            return scorer._hidden_pass(x, masks=masks, scale=scale, first=first)
-        return scorer._hidden_pass(
-            x[r], masks=None if masks is None else [mk[:, r] for mk in masks],
-            scale=scale, first=first[r])
-
-    def run_range(start, stop, gen):
-        # each block stays a stacked (b, rows, h) product: a 2-D (b * rows, h)
-        # product lets BLAS pick other kernels and changes the last bits
-        for s in range(start, stop, b):
-            e = min(s + b, stop)
-            masks = _draw_masks(gen, widths, e - s, n, keep)
-            for r in tiles:
-                z[s:e, r] = tile_pass(r, masks)
-            del masks  # so the next block's draw does not hold two blocks' masks
-
+    first = scorer._layer(0, x)
+    z = np.empty((m + 1, n))  # the m passes, then plain
+    products = z.reshape(m + 1, n, 1)
+    run = (scorer, x, first, products, tiles, widths, 1.0 - scorer.dropout_rate, b)
     if t == 1:
-        run_range(0, m, rng)
+        _run_passes(*run, 0, m, rng)
     else:
         from concurrent.futures import ThreadPoolExecutor
         bounds = [m * j // t for j in range(t + 1)]
@@ -536,38 +529,52 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
         gens = [_cursor(rng, s * words) for s in bounds[:-1]]
         one_blas_thread()
         with ThreadPoolExecutor(t) as pool:
-            list(pool.map(run_range, bounds[:-1], bounds[1:], gens))
+            list(pool.map(partial(_run_passes, *run), bounds[:-1], bounds[1:], gens))
         state = rng.bit_generator.state
         end = gens[-1].bit_generator.state  # the last pass's last draw
         for key in ("has_uint32", "uinteger"):
             if key in state:
                 end[key] = state[key]
         rng.bit_generator.state = end
-    plain = np.empty(n)
     for r in tiles:
-        plain[r] = tile_pass(r)
-    return scorer._bounded(plain, out=plain), scorer._bounded(z, out=z)
+        scorer._hidden_pass(x[r], first=first[r], out=products[m, r])
+    scorer._bounded(z, out=z)
+    return z[m], z[:m]
+
+
+def _run_passes(scorer, x, first, products, tiles, widths, keep, b, start, stop, gen):
+    """mc_dropout_outputs' passes start..stop into products[start:stop], in
+    blocks of b passes drawn from gen.  A block stays a stacked (b, rows, h)
+    product: a 2-D (b * rows, h) one lets BLAS pick kernels with other bits."""
+    scale = _LANE_VALUES / _lane_keep(keep)
+    for s in range(start, stop, b):
+        e = min(s + b, stop)
+        masks = _draw_masks(gen, widths, e - s, len(x), keep)
+        for r in tiles:
+            tile = masks if len(tiles) == 1 else [mk[:, r] for mk in masks]
+            scorer._hidden_pass(x[r], masks=tile, scale=scale, first=first[r],
+                                out=products[s:e, r])
+        del masks  # so the next block's draw does not hold two blocks' masks
 
 
 def mc_dropout_log_lr(scorer: CalibratedScorer, x, m: int,
                       rng: np.random.Generator) -> tuple:
     """A batch's log-LR (scorer.log_lr's bits) and the 1/m-normalized
     variance of its m MC passes' log-LRs (exactly 0 without dropout), each
-    (n,), from one mc_dropout_outputs call.  The passes become log-LRs in
-    place (clamp_output, then log_lr_from_output, with one more (m, n)
-    array), in the operations and order of scorer.log_lr.
+    (n,), from one mc_dropout_outputs call.  The passes and plain, with
+    dropout one (m + 1, n) array, become log-LRs in place (with one more
+    such array), in the operations and order of scorer.log_lr.
     """
     if m < 2:
         raise ValueError("need at least two passes")
     plain, passes = mc_dropout_outputs(scorer, x, m, rng)
-    log_lr = log_lr_from_output(clamp_output(plain), scorer.training_qp)
-    if scorer.dropout_rate == 0.0 or len(log_lr) == 0:  # passes are a read-only broadcast
-        return log_lr, np.zeros(len(log_lr))
-    logs = log_lr_from_output(clamp_output(passes, out=passes), scorer.training_qp,
-                              out=passes)
-    logs -= np.add.reduce(logs, axis=0) / m
-    logs *= logs
-    return log_lr, np.add.reduce(logs, axis=0) / m
+    if scorer.dropout_rate == 0.0 or len(plain) == 0:  # passes are a read-only broadcast
+        return log_lr_from_output(clamp_output(plain), scorer.training_qp), np.zeros(len(plain))
+    rows = passes.base  # mc_dropout_outputs' (m + 1, n) array; plain is its row m
+    log_lr_from_output(clamp_output(rows, out=rows), scorer.training_qp, out=rows)
+    passes -= np.add.reduce(passes, axis=0) / m
+    passes *= passes
+    return plain.copy(), np.add.reduce(passes, axis=0) / m  # the copy frees rows
 
 
 def mc_dropout_log_lr_variance(scorer: CalibratedScorer, x, m: int,

@@ -305,13 +305,22 @@ def _bad_magic(trained, tmp_path):
     return path, trained / "data.csv"
 
 
+def _no_members(trained, tmp_path):
+    """ensemble.bin's magic line and header with an empty member list."""
+    magic, header, _ = (trained / "ensemble.bin").read_bytes().split(b"\n", 2)
+    header = dict(json.loads(header), member_sizes=[])
+    path = tmp_path / "ensemble.bin"
+    path.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n")
+    return path, trained / "data.csv"
+
+
 class TestEvaluateBadInputs:
     @pytest.mark.parametrize("make", [
-        _wide_csv, _bad_magic, _directory,
+        _wide_csv, _bad_magic, _directory, _no_members,
         _cut(lambda blob: blob.index(b"\n") + 10),  # inside the JSON header
         _cut(lambda blob: len(blob) // 2),  # inside the members
         _cut(lambda blob: len(blob) - 1),  # one byte short
-    ], ids=["csv_width", "magic", "directory", "cut_header", "cut_member",
+    ], ids=["csv_width", "magic", "directory", "no_members", "cut_header", "cut_member",
             "cut_last_byte"])
     def test_exits_2(self, trained, tmp_path, capsys, make):
         ensemble, test_csv = make(trained, tmp_path)

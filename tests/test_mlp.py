@@ -495,27 +495,27 @@ class TestMcDropout:
             assert got.tobytes() == replay_passes(scorer, xs, 1, want_gen).tobytes(), cpus
             assert gen.bit_generator.state == want_gen.bit_generator.state, cpus
 
-    def test_query_draws_once_a_member(self):
+    def test_query_draws_once_a_member(self, monkeypatch):
         # a one-row query is one range of one block, drawn straight from the
         # generator: its 30 passes are one run of 30 * 24 words (a pass
         # takes 16 words for width 64, then 8 for width 32), one word draw
-        class CountingGenerator:
-            def __init__(self, gen):
-                self.gen, self.calls = gen, 0
+        real = mlp._draw_lanes
+        draws = []
 
-            def integers(self, *args, **kwargs):
-                self.calls += 1
-                return self.gen.integers(*args, **kwargs)
+        def counted(gen, size):
+            draws.append((gen, size))
+            return real(gen, size)
 
+        monkeypatch.setattr(mlp, "_draw_lanes", counted)
         cfg = NetworkConfig(input_dim=2, hidden_dims=(64, 32), seed=3, dropout_rate=0.1)
         scorer = init_scorer(cfg, 1.0, "squared")
         x = np.array([[0.4, -1.2]])
-        gen = CountingGenerator(np.random.default_rng(5))
+        gen = np.random.default_rng(5)
         _, got = mc_dropout_outputs(scorer, x, 30, gen)
-        assert gen.calls == 1
+        assert draws == [(gen, 30 * 24)]
         want_gen = np.random.default_rng(5)
         assert got.tobytes() == replay_passes(scorer, x, 30, want_gen).tobytes()
-        assert gen.gen.bit_generator.state == want_gen.bit_generator.state
+        assert gen.bit_generator.state == want_gen.bit_generator.state
 
     def test_pass_holds_one_array_a_layer(self):
         # without a record, a masked pass applies bias, activation and mask

@@ -1,10 +1,11 @@
 """How many CPUs obil may use, and one OpenBLAS thread per obil thread.
 
-The seed pool (`experiment.run_experiment`) and the batch MC-dropout passes
-(`mlp.mc_dropout_outputs`) both size their workers by `usable_cpus()`, and
-both cap OpenBLAS at one thread first: a second OpenBLAS thread behind each
-worker would only compete with the other workers for the same CPUs.  For
-the same reason a seed worker's MC passes use only its share of the CPUs.
+The seed pool (`experiment.run_experiment`) and the row tiles of a batch's
+MC-dropout passes (`mlp.mc_dropout_outputs`) both size their workers by
+`usable_cpus()`, and both cap OpenBLAS at one thread first: a second
+OpenBLAS thread behind each worker would only compete with the other
+workers for the same CPUs.  For the same reason a seed worker's MC row
+tiles use only its share of the CPUs.
 """
 
 from __future__ import annotations

@@ -61,16 +61,19 @@ class LikelihoodRatioEnsemble:
     def __post_init__(self):
         if len(self.members) == 0:
             raise ValueError("an ensemble needs at least one member")
+        dims = [member.input_dim for member in self.members]
+        if len(set(dims)) > 1:
+            raise ValueError(f"members take different input dims: {dims}")
 
     def member_log_lrs(self, x, rng: np.random.Generator):
         """Log-LRs and MC-dropout variances, two (K, n) arrays for n rows:
         one mc_dropout_log_lr call a member, members in order.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        logs, var = np.empty((2, len(self.members), len(x)))
+        out = np.empty((2, len(self.members), len(x)))
         for k, member in enumerate(self.members):
-            logs[k], var[k] = mc_dropout_log_lr(member, x, self.config.mc_samples, rng)
-        return logs, var
+            mc_dropout_log_lr(member, x, self.config.mc_samples, rng, out=out[:, k])
+        return out[0], out[1]
 
     def _variance_weights(self, var):
         """Softmax of -var / tau over the member axis (axis 0)."""

@@ -150,10 +150,23 @@ class CalibratedScorer:
             record.append((h, None))
         return self._layer(n_hidden, h, out)[..., 0]
 
+    def _tiles(self, n):
+        """The row tiles of n rows for this net: _row_tiles(n, _TILE_FLOATS //
+        widest layer), 512 rows at width 64."""
+        return _row_tiles(n, _TILE_FLOATS // max([w.shape[1] for w in self.weights]))
+
     def logits(self, x):
-        """Raw scalar pre-activation, batched or single-vector."""
+        """Raw scalar pre-activation, batched or single-vector.
+
+        The net runs over the row tiles of _tiles into one (n,) array, so a
+        batch holds one tile's layers, not (n, h) arrays; by the tile rule
+        (see mc_dropout_outputs) these are the bits of one pass over all rows.
+        """
         x = np.asarray(x, dtype=float)
-        z = self._hidden_pass(np.atleast_2d(x))
+        x2 = np.atleast_2d(x)
+        z = np.empty(len(x2))
+        for r in self._tiles(len(x2)):
+            self._hidden_pass(x2[r], out=z[r, None])
         return float(z[0]) if x.ndim == 1 else z
 
     def _bounded(self, z, out=None):
@@ -350,9 +363,9 @@ def train(dataset: LabeledDataset, net_cfg: NetworkConfig, train_cfg: TrainingCo
     return scorer
 
 
-# Floats (1 MiB) the blocks of MC passes in flight may hold per hidden layer.
-_MC_BLOCK_FLOATS = 2 ** 17
-# Row tiles of MC passes start at multiples of this many rows.
+# Floats (256 KiB) a row tile of MC passes holds per hidden layer.
+_TILE_FLOATS = 2 ** 15
+# Row tiles start at multiples of this many rows.
 _TILE_ROWS = 64
 # 64-bit words (128 KiB) one draw call returns at most.
 _DRAW_WORDS = 2 ** 14
@@ -386,6 +399,39 @@ def _draw_lanes(gen: np.random.Generator, size) -> np.ndarray:
     return words.astype("<u8", copy=False).view("<u2")  # little-endian: lane j is uint16 j
 
 
+def _skip(gen: np.random.Generator, words: int):
+    """Move gen `words` 64-bit words forward (_draw_lanes' words, or float64
+    draws: one next_uint64 each)."""
+    if isinstance(gen.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+        gen.bit_generator.advance(words)  # one step per 64-bit word
+        return
+    # Philox.advance counts other units, MT19937 and SFC64 have no advance:
+    # draw and discard
+    for s in range(0, words, _DRAW_WORDS):
+        _draw_lanes(gen, min(words - s, _DRAW_WORDS))
+
+
+def _read_lanes(gen: np.random.Generator, at: int, lane: int, out: np.ndarray,
+                below: int) -> int:
+    """Whether each lane of the stream from `lane` on is kept (at most
+    `below`), into the boolean 1-D `out`.  gen is at word `at` of the
+    stream, at or before the word holding `lane`; it skips to that word and
+    draws the words covering the lanes, in calls of at most _DRAW_WORDS
+    words, slicing off the lanes before and after them.  Returns the word
+    gen is then at.
+    """
+    first, stop = lane // _LANES, -(-(lane + len(out)) // _LANES)
+    if first > at:
+        _skip(gen, first - at)
+    for w in range(first, stop, _DRAW_WORDS):
+        c = min(_DRAW_WORDS, stop - w)
+        lo, hi = max(lane, _LANES * w), min(lane + len(out), _LANES * (w + c))
+        # one expression, so no earlier draw is held beside this one
+        np.less_equal(_draw_lanes(gen, c)[lo - _LANES * w:hi - _LANES * w], below,
+                      out=out[lo - lane:hi - lane])
+    return stop
+
+
 def _draw_masks(gen: np.random.Generator, widths: list, b: int, n: int,
                 keep: float) -> list:
     """Boolean keep-masks (b, n, h) for b passes, one per hidden width, from gen.
@@ -417,21 +463,25 @@ def _draw_masks(gen: np.random.Generator, widths: list, b: int, n: int,
     return masks
 
 
-def _cursor(rng: np.random.Generator, skip: int) -> np.random.Generator:
-    """A new Generator where rng will be after `skip` more 64-bit words
-    (_draw_masks' words, or float64 draws: one next_uint64 each).
+def _tile_masks(gen: np.random.Generator, at: int, widths: list, n: int, r: slice,
+                p: int, b: int, keep: float) -> tuple:
+    """Boolean keep-masks (b, rows, h) of the rows r, fewer than all n, for
+    passes p..p + b - 1 of an n-row call's stream, and the word gen is then
+    at; gen is at word `at`.  They are read (_read_lanes) pass after pass
+    and layer after layer: pass p's rows r of layer l are the lanes from
+    4 * p * words + n * sum(widths[:l]) + r.start * widths[l] on.  The reads
+    only move gen forward: a tile starts at a multiple of 64 rows and is not
+    1 row, so no read starts in the word where the read before it ended.
     """
-    bit_gen = type(rng.bit_generator)(0)  # seeded, so no OS entropy is read
-    bit_gen.state = rng.bit_generator.state
-    gen = np.random.Generator(bit_gen)
-    if isinstance(bit_gen, (np.random.PCG64, np.random.PCG64DXSM)):
-        bit_gen.advance(skip)  # one step per 64-bit word
-        return gen
-    # Philox.advance counts other units, MT19937 and SFC64 have no advance:
-    # draw and discard
-    for s in range(0, skip, _DRAW_WORDS):
-        _draw_lanes(gen, min(skip - s, _DRAW_WORDS))
-    return gen
+    words = -(-(n * sum(widths)) // _LANES)  # a pass's words
+    below = _lane_keep(keep) - 1
+    masks = [np.empty((b, r.stop - r.start, h), dtype=bool) for h in widths]
+    for k in range(b):
+        lane = _LANES * (p + k) * words
+        for h, mask in zip(widths, masks):
+            at = _read_lanes(gen, at, lane + r.start * h, mask[k].reshape(-1), below)
+            lane += n * h
+    return masks, at
 
 
 def _row_tiles(n: int, rows: int) -> list:
@@ -454,127 +504,154 @@ def _row_tiles(n: int, rows: int) -> list:
 
 
 def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
-                       rng: np.random.Generator) -> tuple:
+                       rng: np.random.Generator, reduce=None) -> tuple:
     """The plain output and m stochastic outputs for a batch: (n,) and (m, n).
 
-    act(x @ W1 + b1) does not depend on the pass, so it is computed once,
-    in place; the passes, then the plain output (no dropout: scorer.forward's
-    bits for a 2-D x), run on from it, their output layers writing into one
-    (m + 1, n) array (plain its row m) that tanh is applied to in place.
+    The work runs tile-major over the row tiles of scorer._tiles (512 rows
+    at width 64; a query, and any batch of up to a tile's rows, is one
+    tile), the same on every CPU count.  For each tile, act(x @ W1 + b1) is
+    computed once; the m passes run on from it in blocks of
+    b = max(1, _TILE_FLOATS // (rows * widest layer)) passes, one
+    stacked (b, rows, h) product a layer, and then the plain output (no
+    dropout: scorer.forward's bits); their output layers write into the
+    tile's (m + 1, rows) outputs (plain its row m), and tanh is applied to
+    them in place, before the next tile runs.  Without `reduce` those are
+    the rows r of one (m + 1, n) array, whose last row and first m rows are
+    returned.  With `reduce`, nothing beyond the tile is kept: each tile's
+    outputs are passed to reduce(outputs, r) in an array freed before the
+    thread's next tile, and (None, None) is returned.
+
     The masks are _draw_masks' 16-bit lanes: the stream is pass after pass,
     each pass taking words = ceil(n * sum(widths) / 4) fresh 64-bit words
     (_draw_lanes: random_raw, or integers on MT19937) cut layer after layer.
     An entry is kept with probability k / 2**16, k = _lane_keep(1 -
     dropout_rate), and kept activations are scaled by 2**16 / k, one
-    `scale` for every pass.  With b1 = max(1,
-    _MC_BLOCK_FLOATS // (n * widest hidden layer)) passes a block on one
-    thread, the m passes are cut into
-    t = min(usable_cpus(), ceil(m / b1)) contiguous ranges (one, without
-    asking for the CPU count, when ceil(m / b1) <= 1; m = 0 draws nothing),
-    one a thread (none when t = 1; OpenBLAS is first capped at one thread),
-    in blocks of b = max(1, _MC_BLOCK_FLOATS // (t * n * widest)) passes.
-    Each block's masks are drawn, for all n rows, just before it runs; the
-    block then runs over row tiles, one stacked (b, rows, h) product a layer
-    and tile: all n rows while n * widest <= _MC_BLOCK_FLOATS, else (and
-    then b = b1 = 1) tiles of _MC_BLOCK_FLOATS // widest rows cut down to a
-    multiple of _TILE_ROWS (at least _TILE_ROWS; _row_tiles).  The plain
-    output runs on the same tiles.  The tiles do not depend on t, and each
-    thread's tiles hold at most _MC_BLOCK_FLOATS floats a layer (while
-    _TILE_ROWS * widest fits in it), t times that over all threads: 2,048
-    rows a tile at width 64; a query (n = 1) and a batch of 2,000 rows are
-    one tile.  With one range, as for a query (one block, one draw call while
-    its m * words words are at most _DRAW_WORDS, 720 words at widths 64 and
-    32), the masks come straight from rng.  With t > 1, range j draws from
-    its own stream cursor, a Generator on a copy of rng's state moved by
-    whole words to its first pass, s_j * words; rng is moved to the end of
-    the stream (its buffered 32-bit half kept) once every block has
-    finished.  Held at once: layer 1's activation, the (m + 1, n) outputs
-    and, per range, one block's boolean masks, one word
-    draw of at most _DRAW_WORDS (2**14) words, 128 KiB whatever n is, and
-    one tile's layer arrays.  Every output bit, and rng's end state, is
-    the same whatever the CPU count: neither the masks nor the tiles depend
-    on it.  They are also the bits of running all m passes at
-    once over all rows on OpenBLAS 0.3.31 (Haswell kernels), where a product
-    over tiles whose edges are multiples of 64 rows, none of them 1 row,
-    gives the bits of the full-row product.  A query is a one-row batch, bit
-    for bit.  Without dropout or rows (n = 0) nothing is drawn: the passes
-    are a read-only broadcast of plain.
+    `scale` for every pass.  A one-tile call draws its blocks straight from
+    rng, one run of words a block: one draw call for a query's 30 passes
+    while they take at most _DRAW_WORDS words (720 at widths 64 and 32).
+    It asks for no CPU count and copies no generator.  With several tiles,
+    t = min(usable_cpus(), tiles) threads (none when t = 1; OpenBLAS is
+    first capped at one thread) take contiguous ranges of tiles, and each
+    reads its tiles' lanes (_tile_masks) from a private copy of rng, reset
+    to rng's start state at each tile; rng is then set to where the last
+    tile's copy ended, m * words on, its buffered 32-bit half kept.  Held
+    at once, per thread: one tile's layer 1, block masks, layer arrays,
+    word draw (at most 128 KiB) and outputs, and what reduce makes of them.
+
+    Every output bit, and rng's end state, is the same whatever the CPU
+    count: neither the masks nor the tiles depend on it.  They are also the
+    bits of running all m passes at once over all rows on OpenBLAS 0.3.31
+    (Haswell kernels), by the tile rule: a product over row tiles that
+    start at multiples of 64 rows, none of them 1 row, gives the bits of
+    the full-row product, for layer 1's x @ W1 as for the later layers, and
+    a reduction over axis 0 of a tile's rows gives those rows of the
+    reduction over all rows.  A query is a one-row batch, bit for bit.
+    Without dropout or rows (n = 0) nothing is drawn and reduce is not
+    called: the passes are a read-only broadcast of plain.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     scorer._check_input(x)
     n = x.shape[0]
     if scorer.dropout_rate == 0.0 or n == 0:  # nothing to draw
-        plain = scorer._bounded(scorer._hidden_pass(x))
+        plain = scorer._bounded(scorer.logits(x))
         return plain, np.broadcast_to(plain, (m, n))
-    widths = [w.shape[1] for w in scorer.weights[:-1]]
-    widest = max(widths)
-    b = max(1, _MC_BLOCK_FLOATS // (n * widest))
-    blocks = -(-m // b)
-    # one block (a query; m = 0 is one empty range) needs no thread, and so
-    # no CPU count, a system call that costs a query several microseconds
-    t = min(usable_cpus(), blocks) if blocks > 1 else 1
-    b = max(1, _MC_BLOCK_FLOATS // (t * n * widest))
-    # the same tiles whatever t is; several tiles only when b1 = b = 1
-    tiles = _row_tiles(n, _MC_BLOCK_FLOATS // widest)
-    first = scorer._layer(0, x)
-    z = np.empty((m + 1, n))  # the m passes, then plain
-    products = z.reshape(m + 1, n, 1)
-    run = (scorer, x, first, products, tiles, widths, 1.0 - scorer.dropout_rate, b)
-    if t == 1:
-        _run_passes(*run, 0, m, rng)
+    tiles = scorer._tiles(n)
+    z = np.empty((m + 1, n)) if reduce is None else None  # the m passes, then plain
+    if len(tiles) == 1:
+        # no CPU count: a system call that costs a query several microseconds
+        _run_tile(scorer, x, m, z, reduce, tiles[0], rng)
     else:
-        from concurrent.futures import ThreadPoolExecutor
-        bounds = [m * j // t for j in range(t + 1)]
-        words = -(-(n * sum(widths)) // _LANES)  # a pass's words
-        gens = [_cursor(rng, s * words) for s in bounds[:-1]]
-        one_blas_thread()
-        with ThreadPoolExecutor(t) as pool:
-            list(pool.map(partial(_run_passes, *run), bounds[:-1], bounds[1:], gens))
-        state = rng.bit_generator.state
+        run = partial(_run_tiles, scorer, x, m, z, reduce)
+        t = min(usable_cpus(), len(tiles))
+        start = rng.bit_generator.state
+        # seeded, so no OS entropy is read; each is set to `start` at its tiles
+        gens = [np.random.Generator(type(rng.bit_generator)(0)) for _ in range(t)]
+        ranges = [tiles[len(tiles) * j // t:len(tiles) * (j + 1) // t] for j in range(t)]
+        if t == 1:
+            run(tiles, gens[0], start)
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+            one_blas_thread()
+            with ThreadPoolExecutor(t) as pool:
+                list(pool.map(run, ranges, gens, [start] * t))
         end = gens[-1].bit_generator.state  # the last pass's last draw
         for key in ("has_uint32", "uinteger"):
-            if key in state:
-                end[key] = state[key]
+            if key in start:
+                end[key] = start[key]
         rng.bit_generator.state = end
+    return (None, None) if z is None else (z[m], z[:m])
+
+
+def _run_tiles(scorer, x, m, z, reduce, tiles, gen, start):
+    """mc_dropout_outputs' tiles, in order (_run_tile), with masks from gen,
+    reset to `start` at each tile."""
     for r in tiles:
-        scorer._hidden_pass(x[r], first=first[r], out=products[m, r])
-    scorer._bounded(z, out=z)
-    return z[m], z[:m]
+        gen.bit_generator.state = start
+        _run_tile(scorer, x, m, z, reduce, r, gen)
 
 
-def _run_passes(scorer, x, first, products, tiles, widths, keep, b, start, stop, gen):
-    """mc_dropout_outputs' passes start..stop into products[start:stop], in
-    blocks of b passes drawn from gen.  A block stays a stacked (b, rows, h)
-    product: a 2-D (b * rows, h) one lets BLAS pick kernels with other bits."""
+def _run_tile(scorer, x, m, z, reduce, r, gen):
+    """The rows r of mc_dropout_outputs: layer 1, the m passes in blocks of
+    b, the plain pass and tanh, into z[:, r] or, without z, into an array
+    passed to reduce and freed on return.  A block of all n rows takes its
+    passes' one run of words from gen (_draw_masks); a smaller tile reads
+    its rows' lanes (_tile_masks), gen starting at the stream's first word.
+    A block stays a stacked (b, rows, h) product: a 2-D (b * rows, h) one
+    lets BLAS pick kernels with other bits."""
+    n, rows = len(x), r.stop - r.start
+    widths = [w.shape[1] for w in scorer.weights[:-1]]
+    keep = 1.0 - scorer.dropout_rate
     scale = _LANE_VALUES / _lane_keep(keep)
-    for s in range(start, stop, b):
-        e = min(s + b, stop)
-        masks = _draw_masks(gen, widths, e - s, len(x), keep)
-        for r in tiles:
-            tile = masks if len(tiles) == 1 else [mk[:, r] for mk in masks]
-            scorer._hidden_pass(x[r], masks=tile, scale=scale, first=first[r],
-                                out=products[s:e, r])
+    out = z[:, r] if z is not None else np.empty((m + 1, rows))
+    products = out[:, :, None]
+    xr = x[r]
+    first = scorer._layer(0, xr)
+    b = max(1, _TILE_FLOATS // (rows * max(widths)))
+    at = 0  # gen's word in the call's stream
+    for s in range(0, m, b):
+        e = min(s + b, m)
+        if rows == n:
+            masks = _draw_masks(gen, widths, e - s, n, keep)
+        else:
+            masks, at = _tile_masks(gen, at, widths, n, r, s, e - s, keep)
+        scorer._hidden_pass(xr, masks=masks, scale=scale, first=first, out=products[s:e])
         del masks  # so the next block's draw does not hold two blocks' masks
+    scorer._hidden_pass(xr, first=first, out=products[m])
+    scorer._bounded(out, out=out)
+    if reduce is not None:
+        reduce(out, r)
 
 
 def mc_dropout_log_lr(scorer: CalibratedScorer, x, m: int,
-                      rng: np.random.Generator) -> tuple:
+                      rng: np.random.Generator, out=None) -> np.ndarray:
     """A batch's log-LR (scorer.log_lr's bits) and the 1/m-normalized
-    variance of its m MC passes' log-LRs (exactly 0 without dropout), each
-    (n,), from one mc_dropout_outputs call.  The passes and plain, with
-    dropout one (m + 1, n) array, become log-LRs in place (with one more
-    such array), in the operations and order of scorer.log_lr.
+    variance of its m MC passes' log-LRs (exactly 0 without dropout), the
+    two rows of one (2, n) array: `out`, or a new one.  They come from one
+    mc_dropout_outputs call.  With dropout, each row tile's passes and
+    plain, (m + 1, rows), become log-LRs in place (with one more such
+    array), in the operations and order of scorer.log_lr, and then the
+    tile's columns of the result, so the call holds one tile's outputs a
+    thread, not (m + 1, n) arrays.
     """
     if m < 2:
         raise ValueError("need at least two passes")
-    plain, passes = mc_dropout_outputs(scorer, x, m, rng)
-    if scorer.dropout_rate == 0.0 or len(plain) == 0:  # passes are a read-only broadcast
-        return log_lr_from_output(clamp_output(plain), scorer.training_qp), np.zeros(len(plain))
-    rows = passes.base  # mc_dropout_outputs' (m + 1, n) array; plain is its row m
-    log_lr_from_output(clamp_output(rows, out=rows), scorer.training_qp, out=rows)
-    passes -= np.add.reduce(passes, axis=0) / m
-    passes *= passes
-    return plain.copy(), np.add.reduce(passes, axis=0) / m  # the copy frees rows
+    if out is None:
+        x = np.asarray(x, dtype=float)
+        out = np.empty((2, len(x) if x.ndim == 2 else 1))
+
+    def reduce(z, r):
+        log_lr_from_output(clamp_output(z, out=z), scorer.training_qp, out=z)
+        passes = z[:m]
+        passes -= np.add.reduce(passes, axis=0) / m
+        passes *= passes
+        out[0, r] = z[m]
+        out[1, r] = np.add.reduce(passes, axis=0) / m
+
+    plain, _ = mc_dropout_outputs(scorer, x, m, rng, reduce)
+    if plain is not None:  # no dropout or rows: nothing drawn, every pass is plain
+        out[0] = log_lr_from_output(clamp_output(plain), scorer.training_qp)
+        out[1] = 0.0
+    return out
 
 
 def mc_dropout_log_lr_variance(scorer: CalibratedScorer, x, m: int,

@@ -305,6 +305,20 @@ def _bad_magic(trained, tmp_path):
     return path, trained / "data.csv"
 
 
+def _mixed_dims(trained, tmp_path):
+    """ensemble.bin with its last member swapped for a net of 2 inputs."""
+    magic, header, blob = (trained / "ensemble.bin").read_bytes().split(b"\n", 2)
+    header = json.loads(header)
+    wide = mlp.save_scorer_bytes(mlp.init_scorer(mlp.NetworkConfig(input_dim=2,
+                                                                   hidden_dims=(8,)),
+                                                 1.0, "squared"))
+    blob = blob[:-header["member_sizes"][-1]] + wide
+    header["member_sizes"][-1] = len(wide)
+    path = tmp_path / "ensemble.bin"
+    path.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + blob)
+    return path, trained / "data.csv"
+
+
 def _no_members(trained, tmp_path):
     """ensemble.bin's magic line and header with an empty member list."""
     magic, header, _ = (trained / "ensemble.bin").read_bytes().split(b"\n", 2)
@@ -316,12 +330,12 @@ def _no_members(trained, tmp_path):
 
 class TestEvaluateBadInputs:
     @pytest.mark.parametrize("make", [
-        _wide_csv, _bad_magic, _directory, _no_members,
+        _wide_csv, _bad_magic, _directory, _no_members, _mixed_dims,
         _cut(lambda blob: blob.index(b"\n") + 10),  # inside the JSON header
         _cut(lambda blob: len(blob) // 2),  # inside the members
         _cut(lambda blob: len(blob) - 1),  # one byte short
-    ], ids=["csv_width", "magic", "directory", "no_members", "cut_header", "cut_member",
-            "cut_last_byte"])
+    ], ids=["csv_width", "magic", "directory", "no_members", "mixed_dims", "cut_header",
+            "cut_member", "cut_last_byte"])
     def test_exits_2(self, trained, tmp_path, capsys, make):
         ensemble, test_csv = make(trained, tmp_path)
         cfg = str(trained / "config.json")
@@ -550,8 +564,8 @@ class TestSeedPool:
 
     def test_fusion_threads_write_serial_bytes(self, tmp_path, monkeypatch, fork_calls):
         # one seed runs in this process; its 600-row stream at hidden width
-        # 64 and 5 passes needs two blocks, so two CPUs run them on two
-        # threads.  The tree must not depend on that
+        # 64 is two row tiles, so two CPUs run them on two threads.  The
+        # tree must not depend on that
         pools = {}  # CPU count -> the worker count of each thread pool
 
         class SpyPool(concurrent.futures.ThreadPoolExecutor):

@@ -210,18 +210,19 @@ class TestFusedLogLr:
 
     def test_one_layer1_product_per_member(self, monkeypatch, layer1_products,
                                            thread_pools):
-        # a member's log-LR and its MC passes share one x @ W1, on the
-        # threaded batch path (n = 250, hidden (64, 32), two CPUs) and for
-        # one query
+        # a member's log-LR and its MC passes share each row's x @ W1, once
+        # a call: on the threaded batch path (n = 1100, hidden (64, 32), two
+        # CPUs) one product a row tile, 512 + 512 + 76 rows, and for one
+        # query one product of one row
         monkeypatch.setattr(mlp, "usable_cpus", lambda: 2)
         members = [init_scorer(NetworkConfig(input_dim=2, hidden_dims=(64, 32),
                                              dropout_rate=0.1, seed=s), qp, "squared")
                    for s, qp in ((0, 1.0), (1, 2.0))]
         ens = LikelihoodRatioEnsemble(members, EnsembleConfig(target_qps=(1.0, 2.0)))
         rows = [layer1_products(m) for m in members]
-        xs = np.random.default_rng(4).normal(0, 1, (250, 2))
+        xs = np.random.default_rng(4).normal(0, 1, (1100, 2))
         ens.fused_log_lr_batch(xs, np.random.default_rng(0))
-        assert rows == [[250], [250]]
+        assert [sorted(r) for r in rows] == [[76, 512, 512]] * 2
         assert thread_pools == [2, 2]
         for r in rows:
             r.clear()

@@ -1,3 +1,5 @@
+import itertools
+import threading
 import tracemalloc
 
 import numpy as np
@@ -97,6 +99,47 @@ class TestForward:
             x = rng.normal(0, 50, 5)
             assert abs(scorer.forward(x)) <= 1.0
             assert np.isfinite(scorer.log_lr(x))
+
+    def test_forward_holds_one_tile(self):
+        # forward runs over row tiles: at n = 20 000 and hidden (64, 32) it
+        # holds one tile's layers, at most 2**15 floats for layer 1 and half
+        # that for layer 2, beside its (n,) pre-activations and outputs, not
+        # (n, 64) and (n, 32) arrays (15.4 MB), and gives the bits of one
+        # pass over all rows
+        n = 20_000
+        for activation in ("relu", "tanh"):
+            cfg = NetworkConfig(input_dim=4, hidden_dims=(64, 32), seed=2, activation=activation)
+            scorer = init_scorer(cfg, 1.0, "squared")
+            xs = np.random.default_rng(1).normal(0, 1, (n, 4))
+            tracemalloc.start()
+            try:
+                got = scorer.forward(xs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * n + 2 * mlp._TILE_FLOATS * 8 + 65_536, (activation, peak)
+            act = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}[activation]
+            h = xs
+            for w, b in zip(scorer.weights[:-1], scorer.biases[:-1]):
+                h = act(h @ w + b)
+            want = np.tanh((h @ scorer.weights[-1] + scorer.biases[-1])[:, 0])
+            assert got.tobytes() == want.tobytes(), activation
+
+    def test_layer1_tile_rule(self):
+        # layer 1's x[r] @ W1 over the row tiles gives the bits of the full
+        # product x @ W1, for input dims 1, 2 and 4 and batches whose tiles
+        # straddle 512 rows, a 65-row last tile among them
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 4):
+            scorer = init_scorer(NetworkConfig(input_dim=d, hidden_dims=(64, 32), seed=d),
+                                 1.0, "squared")
+            w = scorer.weights[0]
+            for n in (513, 1025, 2049, 10_000):
+                xs = rng.normal(0, 1, (n, d))
+                tiles = scorer._tiles(n)
+                assert len(tiles) > 1, (d, n)
+                got = np.concatenate([xs[r] @ w for r in tiles])
+                assert got.tobytes() == (xs @ w).tobytes(), (d, n)
 
     def test_batched_matches_single(self):
         cfg = NetworkConfig(input_dim=3, hidden_dims=(6,), seed=5)
@@ -376,17 +419,16 @@ class TestMcDropout:
     def test_batch_replay_oracle(self, monkeypatch):
         # replay the batch passes with a twin generator: the lane masks of
         # all passes, pass after pass, as float masks 2**16 / k or 0, then
-        # each pass separately over all rows; the blocked passes (boolean
-        # masks drawn up front, layer 1 once, b = max(1, 2**17 // (n * widest
-        # layer)) passes at a time, over row tiles) must give the same bits
-        # and leave the generator where the twin is, on 1, 2 or 3 CPUs.  With
-        # hidden (64, 32) and m = 30, n = 250 runs blocks of 8/8/8/6 on one
-        # CPU and n = 1 one block of 30; n = 1025, 2049 and 4000 run one pass
-        # a block over tiles, where a naive split would leave a 1-row tile:
-        # on one CPU 1025 | 1984 + 65 | 2048 + 1952 rows, on two
-        # 960 + 65 | 1024 + 960 + 65 | 3 x 1024 + 928, on three
-        # 640 + 385 | 3 x 640 + 129 | 6 x 640 + 160.  The plain output is
-        # scorer.forward's, bit for bit.
+        # each pass separately over all rows; the tile-major passes (row
+        # tiles of 2**15 // widest layer rows, layer 1 once a tile, blocks
+        # of b = max(1, 2**15 // (rows * widest)) passes) must give the same
+        # bits and leave the generator where the twin is, on 1, 2 or 3 CPUs.
+        # With hidden (64, 32) and m = 30, n = 1 is one block of 30 and
+        # n = 250 one tile in blocks of 2; n = 1025, 2049 and 4000 run over
+        # tiles of 512 rows, where a naive split would leave a 1-row tile:
+        # 512 + 448 + 65 | 3 x 512 + 448 + 65 | 7 x 512 + 416 rows, the
+        # same on every CPU count.  The plain output is scorer.forward's,
+        # bit for bit.
         acts = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}
         rows = np.random.default_rng(7).normal(0, 1, (4000, 2))
         cases = [((6, 4), "relu", rows[:5], 8), ((6, 4), "tanh", rows[:5], 8),
@@ -435,20 +477,23 @@ class TestMcDropout:
         assert gen.bit_generator.state == state
 
     def test_batch_memory_below_one_float_block(self, monkeypatch):
-        # one mc_dropout_log_lr call holds layer 1's activation (n, 64), the
-        # (m, n) passes, turned into log-LRs in place beside one more (m, n)
-        # array, and per thread one block: at most 2**17 floats a layer in
-        # its row tiles (two layers at once), its boolean masks of one pass
-        # (n * 96 bytes) and one word draw (128 KiB).  The bound
-        # does not grow with a pass's float layers (n * 96 * 8 bytes a
-        # thread) nor with a float (m, n, 64) block over all passes
-        # (m * n * 64 * 8 bytes, 153.6 MB at n = 10 000); m = 200 at n = 2000
-        # checks the log-LRs' one extra array
+        # one mc_dropout_log_lr call holds, per thread, one row tile's
+        # working set: at most 2**15 floats (256 KiB) a layer for layer 1,
+        # a block's masked copy of it and (half that) its layer 2, the
+        # block's boolean masks (96 bytes a row-pass, 2**15 * 1.5 bytes),
+        # one word draw (128 KiB), and the tile's (m + 1, rows) outputs,
+        # turned into log-LRs in place beside one more such array, rows
+        # <= 512; over all rows only the (2, n) result, 16 bytes a row.
+        # The bound does not grow with n beyond that: not with layer 1's
+        # (n, 64) activation (5.1 MB at n = 10 000) nor with the (m + 1, n)
+        # outputs and their log-LR scratch (32.2 MB at m = 200)
         cfg = NetworkConfig(input_dim=3, hidden_dims=(64, 32), seed=4, dropout_rate=0.1)
         scorer = init_scorer(cfg, 1.0, "squared")
+        rows = mlp._TILE_FLOATS // 64
+        mlp.one_blas_thread()  # once a process: its read of /proc/self/maps is no tile's
         for cpus in (1, 2, 3):
             monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
-            for n, m in ((10_000, 30), (4000, 30), (250, 30), (2000, 200)):
+            for n, m in ((10_000, 30), (4000, 200), (250, 200)):
                 xs = np.random.default_rng(2).normal(0, 1, (n, 3))
                 tracemalloc.start()
                 try:
@@ -456,8 +501,9 @@ class TestMcDropout:
                     _, peak = tracemalloc.get_traced_memory()
                 finally:
                     tracemalloc.stop()
-                block = cpus * (2 * mlp._MC_BLOCK_FLOATS * 8 + n * 96 + mlp._DRAW_WORDS * 8)
-                bound = n * 64 * 8 + 2 * m * n * 8 + block + 65_536
+                tile = (3 * mlp._TILE_FLOATS * 8 + mlp._TILE_FLOATS * 3 // 2
+                        + mlp._DRAW_WORDS * 8 + 2 * (m + 1) * rows * 8)
+                bound = cpus * tile + 16 * n + 65_536
                 assert var.shape == (n,)
                 assert peak < bound, (cpus, n, m, peak, bound)
 
@@ -496,7 +542,7 @@ class TestMcDropout:
             assert gen.bit_generator.state == want_gen.bit_generator.state, cpus
 
     def test_query_draws_once_a_member(self, monkeypatch):
-        # a one-row query is one range of one block, drawn straight from the
+        # a one-row query is one tile of one block, drawn straight from the
         # generator: its 30 passes are one run of 30 * 24 words (a pass
         # takes 16 words for width 64, then 8 for width 32), one word draw
         real = mlp._draw_lanes
@@ -615,9 +661,9 @@ def replay_passes(scorer, x2, m, rng):
 
 
 class TestMcThreads:
-    # with b1 = max(1, 2**17 // (n * widest layer)) passes a block on one
-    # thread, the m passes run on t = min(usable CPUs, ceil(m / b1)) threads,
-    # or in this thread when t = 1 or b1 >= m
+    # the row tiles (2**15 // widest layer rows: 512 at width 64) run on
+    # t = min(usable CPUs, tiles) threads, each a contiguous range of
+    # tiles, or in this thread when t = 1 or the batch is one tile
     def scorer(self, hidden_dims, activation="relu"):
         cfg = NetworkConfig(input_dim=2, hidden_dims=hidden_dims, seed=9,
                             activation=activation, dropout_rate=0.3)
@@ -625,23 +671,22 @@ class TestMcThreads:
 
     def test_split_replay_oracle(self, monkeypatch, thread_pools):
         # every CPU count gives the oracle's bits and leaves the generator
-        # where the oracle's is: one block (n = 1; n = 250 at (6, 5, 4)),
-        # up to 4 blocks (n = 250 at (64, 32): 2 threads of 4, 4, 4, 3
-        # passes, or 3 of 3, 3, 3, 1) and one pass a block (n >= 1025 at
-        # (64, 32)) over row tiles of 2048, 1024 or 640 rows on 1, 2 or 3
-        # CPUs.  n = 1025, 2049 and 4000 are where a naive split goes wrong:
-        # it leaves a 1-row tile at 1025 and 2049 on two CPUs and at 2049 on
-        # one, and 6 tiles of about 667 rows at 4000 on three.  The plain
-        # output is scorer.forward's, bit for bit.
+        # where the oracle's is: one tile (n = 1 and 250 at (64, 32); every
+        # n at (6, 5, 4), whose tiles hold 5,440 rows) and 3, 4, 5 or 8
+        # tiles of at most 512 rows (n = 1025, 2048, 2049 and 4000 at
+        # (64, 32)), on t = min(CPUs, tiles) threads.  n = 1025 and 2049
+        # are where a naive split leaves a 1-row tile.  The plain output is
+        # scorer.forward's, bit for bit.
         m = 30
         rows = np.random.default_rng(7).normal(0, 1, (4000, 2))
+        tile_counts = {(64, 32): {1: 1, 250: 1, 1025: 3, 2048: 4, 2049: 5, 4000: 8}}
         for hidden_dims in ((64, 32), (6, 5, 4)):
             for activation in ("relu", "tanh"):
                 scorer = self.scorer(hidden_dims, activation)
                 for n in (1, 250, 1025, 2048, 2049, 4000):
                     want_gen = np.random.default_rng(321)
                     want = replay_passes(scorer, rows[:n], m, want_gen)
-                    b1 = max(1, 2 ** 17 // (n * max(hidden_dims)))
+                    tiles = tile_counts.get(hidden_dims, {}).get(n, 1)
                     for cpus in (1, 2, 3):
                         monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
                         thread_pools.clear()
@@ -651,12 +696,13 @@ class TestMcThreads:
                         assert plain.tobytes() == scorer.forward(rows[:n]).tobytes(), case
                         assert got.tobytes() == want.tobytes(), case
                         assert gen.bit_generator.state == want_gen.bit_generator.state, case
-                        t = min(cpus, -(-m // b1))
+                        t = min(cpus, tiles)
                         assert thread_pools == ([t] if t > 1 else []), case
 
     def test_keeps_buffered_half_and_other_bit_generators(self, monkeypatch):
-        # a generator holding a buffered 32-bit half keeps it; Philox,
-        # MT19937 and SFC64 cursors skip by drawing, PCG64DXSM by advance
+        # a one-tile call draws straight from the generator: one holding a
+        # buffered 32-bit half keeps it, and Philox, MT19937, SFC64 and
+        # PCG64DXSM give the replay's bits too
         scorer = self.scorer((64, 32))
         xs = np.random.default_rng(3).normal(0, 1, (250, 2))
         m = 30
@@ -679,43 +725,85 @@ class TestMcThreads:
                 np.testing.assert_equal(gen.bit_generator.state,
                                         want_gen.bit_generator.state, err_msg=str(case))
 
-    def test_threads_share_one_block(self, monkeypatch):
-        # t threads run blocks of max(1, 2**17 // (t * n * widest)) passes,
-        # so together they hold at most one block: at n = 250 and width 64,
-        # 8 passes on one thread, 4 on each of two, 2 on each of three; the
-        # plain output is one more pass, without masks (recorded as 0)
+    def test_multi_tile_replay_over_bit_generators(self, monkeypatch, thread_pools):
+        # several tiles read their rows' lanes from private copies of the
+        # generator, reset at each tile: PCG64 and PCG64DXSM skip words by
+        # advance, Philox, MT19937 and SFC64 by drawing them.  Hidden
+        # (64, 7, 3) gives 74 lanes a row, so at odd n a pass ends inside a
+        # word and the tiles' reads of layers 2 and 3 start or end inside
+        # words.  n = 513, 1025 and 2049 make 2, 3 and 5 tiles of at most
+        # 512 rows.  On 1, 2 or 3 CPUs the passes are the replay's bits,
+        # plain is scorer.forward's, and the generator, holding a buffered
+        # 32-bit half, ends where the replay's does, the half kept
+        scorer = self.scorer((64, 7, 3))
+        rows = np.random.default_rng(8).normal(0, 1, (2049, 2))
+        m = 6
+        makers = [lambda: np.random.default_rng(11)]
+        makers += [lambda bg=bg: np.random.Generator(bg(11)) for bg in
+                   (np.random.PCG64DXSM, np.random.Philox, np.random.MT19937, np.random.SFC64)]
+        for make in makers:
+            for n in (513, 1025, 2049):
+                want_gen = make()
+                want_gen.integers(0, 10, dtype=np.int32)
+                want = replay_passes(scorer, rows[:n], m, want_gen)
+                for cpus in (1, 2, 3):
+                    monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
+                    thread_pools.clear()
+                    gen = make()
+                    gen.integers(0, 10, dtype=np.int32)
+                    plain, got = mc_dropout_outputs(scorer, rows[:n], m, gen)
+                    case = (type(gen.bit_generator).__name__, n, cpus)
+                    assert thread_pools == ([min(cpus, 2)] if n == 513 and cpus > 1 else
+                                            [cpus] if cpus > 1 else []), case
+                    assert plain.tobytes() == scorer.forward(rows[:n]).tobytes(), case
+                    assert got.tobytes() == want.tobytes(), case
+                    np.testing.assert_equal(gen.bit_generator.state,
+                                            want_gen.bit_generator.state, err_msg=str(case))
+
+    def test_blocks_do_not_depend_on_threads(self, monkeypatch):
+        # a tile of `rows` rows runs blocks of b = max(1, 2**15 // (rows *
+        # widest)) passes whatever the CPU count, so a block holds at most
+        # 2**15 floats a layer, or one pass of a tile: at n = 250 and width
+        # 64 one tile in blocks of 2; at n = 1025 tiles of 512, 448 and 65
+        # rows in blocks of 1, 1 and 7.  Each tile's plain output is one
+        # more pass, without masks (recorded as b = 0)
         scorer = self.scorer((64, 32))
         real = scorer._hidden_pass
         blocks = []
 
         def recorded(x, masks=None, **kwargs):
-            blocks.append(0 if masks is None else masks[0].shape[0])
+            blocks.append((0 if masks is None else masks[0].shape[0], x.shape[0]))
             return real(x, masks=masks, **kwargs)
 
         monkeypatch.setattr(scorer, "_hidden_pass", recorded)
-        xs = np.random.default_rng(3).normal(0, 1, (250, 2))
-        for cpus, sizes in ((1, [0, 8, 8, 8, 6]), (2, [0] + [4, 4, 4, 3] * 2),
-                            (3, [0] + [2, 2, 2, 2, 2] * 3)):
-            monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
-            blocks.clear()
-            mc_dropout_outputs(scorer, xs, 30, np.random.default_rng(0))
-            assert sorted(blocks) == sorted(sizes), cpus
+        cases = [(250, [(0, 250)] + [(2, 250)] * 15),
+                 (1025, [(0, 512), (0, 448), (0, 65)] + [(1, 512)] * 30 + [(1, 448)] * 30
+                  + [(7, 65)] * 4 + [(2, 65)])]
+        for n, sizes in cases:
+            xs = np.random.default_rng(3).normal(0, 1, (n, 2))
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
+                blocks.clear()
+                mc_dropout_outputs(scorer, xs, 30, np.random.default_rng(0))
+                assert sorted(blocks) == sorted(sizes), (n, cpus)
 
     def test_tiles_hold_one_block_a_layer(self, monkeypatch):
         # whatever n is, every masked product of a block is a tile of rows
-        # with b * rows * widest <= 2**17: each thread's tiles hold at most
+        # with b * rows * widest <= 2**15: each thread's tile holds at most
         # one block of floats a layer.  The tiles are the same on every CPU
         # count, start at multiples of 64 rows, none is 1 row (but a 1-row
-        # batch), several tiles come only with one pass a block, they cover
-        # the n rows once a block, and the plain pass (recorded with b = 0)
-        # runs on the same tiles
+        # batch), and they cover the n rows once a pass.  The order is
+        # tile-major: a thread runs one tile's m passes and then its plain
+        # pass (recorded with b = 0) before its next tile, and its tiles
+        # are a contiguous range
         scorer = self.scorer((64, 32))
         real = scorer._hidden_pass
         calls = []
 
         def recorded(x, masks=None, **kwargs):
             start = (x.ctypes.data - xs.ctypes.data) // xs.strides[0]
-            calls.append((0 if masks is None else masks[0].shape[0], start, x.shape[0]))
+            calls.append((threading.get_ident(), 0 if masks is None else masks[0].shape[0],
+                          start, x.shape[0]))
             return real(x, masks=masks, **kwargs)
 
         monkeypatch.setattr(scorer, "_hidden_pass", recorded)
@@ -727,54 +815,63 @@ class TestMcThreads:
                 xs = np.random.default_rng(3).normal(0, 1, (n, 2))
                 calls.clear()
                 mc_dropout_outputs(scorer, xs, m, np.random.default_rng(0))
-                masked = [c for c in calls if c[0] > 0]
-                tiles = sorted({(start, rows) for _, start, rows in masked})
+                masked = [c for c in calls if c[1] > 0]
+                tiles = sorted({(start, rows) for _, _, start, rows in calls})
                 case = (cpus, n)
-                assert max(b * rows * 64 for b, _, rows in masked) <= mlp._MC_BLOCK_FLOATS, case
-                assert sorted((start, rows) for b, start, rows in calls if b == 0) == tiles, case
-                assert sum(b * rows for b, _, rows in masked) == m * n, case
+                assert max(b * rows * 64 for _, b, _, rows in masked) <= mlp._TILE_FLOATS, case
+                assert sorted((start, rows) for _, b, start, rows in calls if b == 0) == tiles, case
+                assert sum(b * rows for _, b, _, rows in masked) == m * n, case
                 assert [start for start, _ in tiles] == \
                     [0] + list(np.cumsum([rows for _, rows in tiles])[:-1]), case
                 assert all(start % 64 == 0 for start, _ in tiles), case
                 assert all(rows > 1 for _, rows in tiles) or n == 1, case
-                assert len(tiles) == 1 or all(b == 1 for b, _, _ in masked), case
                 assert tilings.setdefault(n, tiles) == tiles, case
+                for thread in {c[0] for c in calls}:
+                    mine = [(b, (start, rows)) for t, b, start, rows in calls if t == thread]
+                    runs = [list(run) for _, run in itertools.groupby(mine, lambda c: c[1])]
+                    ran = [run[0][1] for run in runs]
+                    assert ran == tiles[tiles.index(ran[0]):tiles.index(ran[0]) + len(ran)], case
+                    assert all(run[-1][0] == 0 and sum(b for b, _ in run) == m
+                               for run in runs), case
         assert [len(tilings[n]) for n in (1, 250, 1025, 2049, 4000, 10_000, 20_000)] == \
-            [1, 1, 1, 2, 2, 5, 10]
-        assert tilings[2049] == [(0, 1984), (1984, 65)]  # no 1-row last tile
+            [1, 1, 3, 5, 8, 20, 40]
+        # no 1-row last tile
+        assert tilings[2049] == [(0, 512), (512, 512), (1024, 512), (1536, 448), (1984, 65)]
 
-    def test_one_cursor_a_range(self, monkeypatch):
-        # at n = 250, widths (64, 32) and m = 30, one CPU runs 4 blocks
-        # drawn straight from the generator, with no cursor; two CPUs make
-        # one cursor a range, 2 in all whatever the layer count, and every
-        # block draws from its range's cursor
+    def test_one_generator_copy_a_thread(self, monkeypatch):
+        # a one-tile call (n = 250) draws every block straight from the
+        # generator and makes no Generator; at n = 1025 (3 tiles) one CPU
+        # makes one private copy and two CPUs two, one a thread, whatever
+        # the tile, pass and layer count, and every draw comes from them
         scorer = self.scorer((64, 32))
-        xs = np.random.default_rng(3).normal(0, 1, (250, 2))
-        real_cursor, real_draw = mlp._cursor, mlp._draw_masks
-        cursors, draws = [], []
+        made, draws = [], []
 
-        def counted_cursor(rng, skip):
-            cursors.append(real_cursor(rng, skip))
-            return cursors[-1]
+        class Counted(np.random.Generator):
+            def __init__(self, bit_gen):
+                made.append(self)
+                super().__init__(bit_gen)
 
-        def recorded_draw(gen, *args):
+        real_draw = mlp._draw_lanes
+
+        def recorded_draw(gen, size):
             draws.append(gen)
-            return real_draw(gen, *args)
+            return real_draw(gen, size)
 
-        monkeypatch.setattr(mlp, "_cursor", counted_cursor)
-        monkeypatch.setattr(mlp, "_draw_masks", recorded_draw)
-        for cpus, n_cursors in ((1, 0), (2, 2)):
+        monkeypatch.setattr(np.random, "Generator", Counted)
+        monkeypatch.setattr(mlp, "_draw_lanes", recorded_draw)
+        for n, cpus, copies in ((250, 1, 0), (250, 2, 0), (1025, 1, 1), (1025, 2, 2)):
             monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
-            cursors.clear()
-            draws.clear()
+            xs = np.random.default_rng(3).normal(0, 1, (n, 2))
             gen = np.random.default_rng(0)
+            made.clear()
+            draws.clear()
             mc_dropout_outputs(scorer, xs, 30, gen)
-            assert len(cursors) == n_cursors, cpus
-            if cpus == 1:
-                assert len(draws) == 4 and all(d is gen for d in draws)
+            case = (n, cpus)
+            assert len(made) == copies, case
+            if copies == 0:  # 15 blocks of 2 passes, 12,000 words each
+                assert len(draws) == 15 and all(d is gen for d in draws), case
             else:
-                assert len(draws) == 8
-                assert {id(d) for d in draws} == {id(c) for c in cursors}
+                assert {id(d) for d in draws} == {id(g) for g in made}, case
 
     def test_thread_error_propagates_and_leaves_generator(self, monkeypatch, thread_pools):
         scorer = self.scorer((64, 32))

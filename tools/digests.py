@@ -22,9 +22,10 @@ The commands, each through `obil.cli.main` in this process:
   `experiment.write_trace` to `query/trace.jsonl`;
 - a mid-size batch: the raw float64 bytes of `fused_log_lr_batch` on that
   `ensemble.bin` over a 250-row stream of the README scenario, written to
-  `batch/fused.bin`.  At 250 rows and hidden widths (64, 32) the MC passes
-  run in blocks of 8, 8, 8 and 6 on one CPU, or of 4, 4, 4 and 3 on each of
-  two threads.
+  `batch/fused.bin`.  At 250 rows and hidden widths (64, 32) the batch is
+  one row tile, whose MC passes run in 15 blocks of 2 on the calling thread
+  whatever the CPU count; the drift config's 10,000-row fusion runs 20 row
+  tiles on every usable CPU.
 
 `obil simulate` and `obil regret` run `obil run`'s stages for seed 0: they
 fit the ensemble, then draw, fuse and charge the seed's one stream.  So

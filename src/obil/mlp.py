@@ -99,6 +99,8 @@ class CalibratedScorer:
         return 1.0 - a ** 2
 
     def _check_input(self, x):
+        if x.ndim > 2:
+            raise ShapeError(f"expected a vector or a 2-D batch, got shape {x.shape}")
         if x.shape[-1] != self.input_dim:
             raise ShapeError(f"expected input dim {self.input_dim}, got {x.shape[-1]}")
 
@@ -363,7 +365,8 @@ def train(dataset: LabeledDataset, net_cfg: NetworkConfig, train_cfg: TrainingCo
     return scorer
 
 
-# Floats (256 KiB) a row tile of MC passes holds per hidden layer.
+# Floats (256 KiB) a row tile of MC passes holds per hidden layer.  Its tile
+# edges are part of the mask stream: changing it changes multi-tile MC bits.
 _TILE_FLOATS = 2 ** 15
 # Row tiles start at multiples of this many rows.
 _TILE_ROWS = 64
@@ -411,32 +414,15 @@ def _skip(gen: np.random.Generator, words: int):
         _draw_lanes(gen, min(words - s, _DRAW_WORDS))
 
 
-def _read_lanes(gen: np.random.Generator, at: int, lane: int, out: np.ndarray,
-                below: int) -> int:
-    """Whether each lane of the stream from `lane` on is kept (at most
-    `below`), into the boolean 1-D `out`.  gen is at word `at` of the
-    stream, at or before the word holding `lane`; it skips to that word and
-    draws the words covering the lanes, in calls of at most _DRAW_WORDS
-    words, slicing off the lanes before and after them.  Returns the word
-    gen is then at.
-    """
-    first, stop = lane // _LANES, -(-(lane + len(out)) // _LANES)
-    if first > at:
-        _skip(gen, first - at)
-    for w in range(first, stop, _DRAW_WORDS):
-        c = min(_DRAW_WORDS, stop - w)
-        lo, hi = max(lane, _LANES * w), min(lane + len(out), _LANES * (w + c))
-        # one expression, so no earlier draw is held beside this one
-        np.less_equal(_draw_lanes(gen, c)[lo - _LANES * w:hi - _LANES * w], below,
-                      out=out[lo - lane:hi - lane])
-    return stop
+def _pass_words(rows: int, widths: list) -> int:
+    return -(-(rows * sum(widths)) // _LANES)  # a pass's words: ceil(rows * sum(widths) / 4)
 
 
 def _draw_masks(gen: np.random.Generator, widths: list, b: int, n: int,
                 keep: float) -> list:
     """Boolean keep-masks (b, n, h) for b passes, one per hidden width, from gen.
 
-    The stream is pass after pass: each pass takes ceil(n * sum(widths) / 4)
+    The stream is pass after pass: each pass takes _pass_words(n, widths)
     fresh 64-bit words, and their 16-bit lanes, lane j of a word being its
     bits 16j..16j+15, are cut in C order layer after layer, each layer's
     n * h entries after the layer before; the unused lanes of a pass's last
@@ -445,11 +431,11 @@ def _draw_masks(gen: np.random.Generator, widths: list, b: int, n: int,
     keep 0.9).  The b passes' words are one contiguous run of the stream,
     drawn in calls of at most _DRAW_WORDS (2**14) words into one boolean
     (b, 4 * words) array that the masks view.  So the word scratch is at most
-    128 KiB whatever n is, and gen ends where one draw of the b passes'
-    words would leave it.
+    128 KiB whatever n is, and gen ends b * words on.  mc_dropout_outputs
+    reads its whole mask stream this way, one call a block.
     """
     below = _lane_keep(keep) - 1
-    words = -(-(n * sum(widths)) // _LANES)  # a pass's words
+    words = _pass_words(n, widths)
     kept = np.empty((b, _LANES * words), dtype=bool)
     flat = kept.reshape(-1)
     for w in range(0, b * words, _DRAW_WORDS):
@@ -461,27 +447,6 @@ def _draw_masks(gen: np.random.Generator, widths: list, b: int, n: int,
         masks.append(kept[:, start:start + n * h].reshape(b, n, h))
         start += n * h
     return masks
-
-
-def _tile_masks(gen: np.random.Generator, at: int, widths: list, n: int, r: slice,
-                p: int, b: int, keep: float) -> tuple:
-    """Boolean keep-masks (b, rows, h) of the rows r, fewer than all n, for
-    passes p..p + b - 1 of an n-row call's stream, and the word gen is then
-    at; gen is at word `at`.  They are read (_read_lanes) pass after pass
-    and layer after layer: pass p's rows r of layer l are the lanes from
-    4 * p * words + n * sum(widths[:l]) + r.start * widths[l] on.  The reads
-    only move gen forward: a tile starts at a multiple of 64 rows and is not
-    1 row, so no read starts in the word where the read before it ended.
-    """
-    words = -(-(n * sum(widths)) // _LANES)  # a pass's words
-    below = _lane_keep(keep) - 1
-    masks = [np.empty((b, r.stop - r.start, h), dtype=bool) for h in widths]
-    for k in range(b):
-        lane = _LANES * (p + k) * words
-        for h, mask in zip(widths, masks):
-            at = _read_lanes(gen, at, lane + r.start * h, mask[k].reshape(-1), below)
-            lane += n * h
-    return masks, at
 
 
 def _row_tiles(n: int, rows: int) -> list:
@@ -509,45 +474,39 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
 
     The work runs tile-major over the row tiles of scorer._tiles (512 rows
     at width 64; a query, and any batch of up to a tile's rows, is one
-    tile), the same on every CPU count.  For each tile, act(x @ W1 + b1) is
-    computed once; the m passes run on from it in blocks of
-    b = max(1, _TILE_FLOATS // (rows * widest layer)) passes, one
-    stacked (b, rows, h) product a layer, and then the plain output (no
-    dropout: scorer.forward's bits); their output layers write into the
-    tile's (m + 1, rows) outputs (plain its row m), and tanh is applied to
-    them in place, before the next tile runs.  Without `reduce` those are
-    the rows r of one (m + 1, n) array, whose last row and first m rows are
-    returned.  With `reduce`, nothing beyond the tile is kept: each tile's
-    outputs are passed to reduce(outputs, r) in an array freed before the
-    thread's next tile, and (None, None) is returned.
+    tile).  For each tile, act(x @ W1 + b1) is computed once; the m passes
+    run on from it in blocks of b = max(1, _TILE_FLOATS // (rows * widest
+    layer)) passes, one stacked (b, rows, h) product a layer, and then the
+    plain output (no dropout: scorer.forward's bits), into the tile's
+    (m + 1, rows) outputs (plain its row m), to which tanh is applied in
+    place.  Without `reduce` those are the rows r of one (m + 1, n) array,
+    whose last row and first m rows are returned.  With `reduce`, each
+    tile's outputs are passed to reduce(outputs, r) in an array freed
+    before the thread's next tile, and (None, None) is returned.
 
-    The masks are _draw_masks' 16-bit lanes: the stream is pass after pass,
-    each pass taking words = ceil(n * sum(widths) / 4) fresh 64-bit words
-    (_draw_lanes: random_raw, or integers on MT19937) cut layer after layer.
-    An entry is kept with probability k / 2**16, k = _lane_keep(1 -
-    dropout_rate), and kept activations are scaled by 2**16 / k, one
-    `scale` for every pass.  A one-tile call draws its blocks straight from
-    rng, one run of words a block: one draw call for a query's 30 passes
-    while they take at most _DRAW_WORDS words (720 at widths 64 and 32).
-    It asks for no CPU count and copies no generator.  With several tiles,
-    t = min(usable_cpus(), tiles) threads (none when t = 1; OpenBLAS is
-    first capped at one thread) take contiguous ranges of tiles, and each
-    reads its tiles' lanes (_tile_masks) from a private copy of rng, reset
-    to rng's start state at each tile; rng is then set to where the last
-    tile's copy ended, m * words on, its buffered 32-bit half kept.  Held
-    at once, per thread: one tile's layer 1, block masks, layer arrays,
-    word draw (at most 128 KiB) and outputs, and what reduce makes of them.
+    The mask stream is tile-major, in the order of the work: tile after
+    tile, each the stream of a batch of its rows (_draw_masks: pass after
+    pass, each _pass_words(rows, widths) fresh 64-bit words cut layer after
+    layer), so every block is one contiguous run of words.  An entry is
+    kept with probability k / 2**16, k = _lane_keep(1 - dropout_rate), and
+    kept activations are scaled by 2**16 / k.  On one thread every block is
+    drawn straight from rng, with no generator copy.  Otherwise
+    t = min(usable_cpus(), tiles) threads (OpenBLAS first capped at one
+    thread) take contiguous ranges of tiles, each drawing from one copy of
+    rng moved once (_skip) past the words of the tiles before its first;
+    rng is then set to where the last thread's copy ended, its buffered
+    32-bit half kept.  Held at once, per thread: one tile's layer 1, block
+    masks, layer arrays, word draw (at most 128 KiB) and outputs, and what
+    reduce makes of them.
 
     Every output bit, and rng's end state, is the same whatever the CPU
-    count: neither the masks nor the tiles depend on it.  They are also the
-    bits of running all m passes at once over all rows on OpenBLAS 0.3.31
-    (Haswell kernels), by the tile rule: a product over row tiles that
-    start at multiples of 64 rows, none of them 1 row, gives the bits of
-    the full-row product, for layer 1's x @ W1 as for the later layers, and
-    a reduction over axis 0 of a tile's rows gives those rows of the
-    reduction over all rows.  A query is a one-row batch, bit for bit.
-    Without dropout or rows (n = 0) nothing is drawn and reduce is not
-    called: the passes are a read-only broadcast of plain.
+    count; the tile edges are part of the stream.  Given the masks, the
+    products over the tiles are the bits of the full-row products on
+    OpenBLAS 0.3.31 (Haswell kernels), by the tile rule (README, Fusion):
+    tiles start at multiples of 64 rows and none is 1 row.  A query is a
+    one-row batch, bit for bit.  Without dropout or rows (n = 0) nothing is
+    drawn and reduce is not called: the passes are a read-only broadcast
+    of plain.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     scorer._check_input(x)
@@ -557,69 +516,60 @@ def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
         return plain, np.broadcast_to(plain, (m, n))
     tiles = scorer._tiles(n)
     z = np.empty((m + 1, n)) if reduce is None else None  # the m passes, then plain
-    if len(tiles) == 1:
-        # no CPU count: a system call that costs a query several microseconds
-        _run_tile(scorer, x, m, z, reduce, tiles[0], rng)
+    # one tile asks for no CPU count: a system call that costs a query several microseconds
+    t = 1 if len(tiles) == 1 else min(usable_cpus(), len(tiles))
+    if t == 1:
+        _run_tiles(scorer, x, m, z, reduce, tiles, rng)
     else:
         run = partial(_run_tiles, scorer, x, m, z, reduce)
-        t = min(usable_cpus(), len(tiles))
+        from concurrent.futures import ThreadPoolExecutor
+        widths = [w.shape[1] for w in scorer.weights[:-1]]
+        edges = [len(tiles) * j // t for j in range(t + 1)]
+        skips = [m * sum(_pass_words(r.stop - r.start, widths) for r in tiles[:i])
+                 for i in edges[:-1]]
         start = rng.bit_generator.state
-        # seeded, so no OS entropy is read; each is set to `start` at its tiles
+        # seeded, so no OS entropy is read; each is then set to `start`
         gens = [np.random.Generator(type(rng.bit_generator)(0)) for _ in range(t)]
-        ranges = [tiles[len(tiles) * j // t:len(tiles) * (j + 1) // t] for j in range(t)]
-        if t == 1:
-            run(tiles, gens[0], start)
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-            one_blas_thread()
-            with ThreadPoolExecutor(t) as pool:
-                list(pool.map(run, ranges, gens, [start] * t))
-        end = gens[-1].bit_generator.state  # the last pass's last draw
-        for key in ("has_uint32", "uinteger"):
+        for gen in gens:
+            gen.bit_generator.state = start
+        one_blas_thread()
+        with ThreadPoolExecutor(t) as pool:
+            list(pool.map(run, [tiles[i:j] for i, j in zip(edges, edges[1:])], gens, skips))
+        end = gens[-1].bit_generator.state  # the last tile's last draw
+        for key in ("has_uint32", "uinteger"):  # PCG64's advance drops the buffered half
             if key in start:
                 end[key] = start[key]
         rng.bit_generator.state = end
     return (None, None) if z is None else (z[m], z[:m])
 
 
-def _run_tiles(scorer, x, m, z, reduce, tiles, gen, start):
-    """mc_dropout_outputs' tiles, in order (_run_tile), with masks from gen,
-    reset to `start` at each tile."""
-    for r in tiles:
-        gen.bit_generator.state = start
-        _run_tile(scorer, x, m, z, reduce, r, gen)
-
-
-def _run_tile(scorer, x, m, z, reduce, r, gen):
-    """The rows r of mc_dropout_outputs: layer 1, the m passes in blocks of
-    b, the plain pass and tanh, into z[:, r] or, without z, into an array
-    passed to reduce and freed on return.  A block of all n rows takes its
-    passes' one run of words from gen (_draw_masks); a smaller tile reads
-    its rows' lanes (_tile_masks), gen starting at the stream's first word.
-    A block stays a stacked (b, rows, h) product: a 2-D (b * rows, h) one
-    lets BLAS pick kernels with other bits."""
-    n, rows = len(x), r.stop - r.start
+def _run_tiles(scorer, x, m, z, reduce, tiles, gen, skip=0):
+    """mc_dropout_outputs' work on `tiles`, in order, with masks drawn from
+    gen once it is moved `skip` words on.  A block stays a stacked
+    (b, rows, h) product: a 2-D (b * rows, h) one lets BLAS pick kernels
+    with other bits."""
+    if skip:
+        _skip(gen, skip)
     widths = [w.shape[1] for w in scorer.weights[:-1]]
     keep = 1.0 - scorer.dropout_rate
     scale = _LANE_VALUES / _lane_keep(keep)
-    out = z[:, r] if z is not None else np.empty((m + 1, rows))
-    products = out[:, :, None]
-    xr = x[r]
-    first = scorer._layer(0, xr)
-    b = max(1, _TILE_FLOATS // (rows * max(widths)))
-    at = 0  # gen's word in the call's stream
-    for s in range(0, m, b):
-        e = min(s + b, m)
-        if rows == n:
-            masks = _draw_masks(gen, widths, e - s, n, keep)
-        else:
-            masks, at = _tile_masks(gen, at, widths, n, r, s, e - s, keep)
-        scorer._hidden_pass(xr, masks=masks, scale=scale, first=first, out=products[s:e])
-        del masks  # so the next block's draw does not hold two blocks' masks
-    scorer._hidden_pass(xr, first=first, out=products[m])
-    scorer._bounded(out, out=out)
-    if reduce is not None:
-        reduce(out, r)
+    for r in tiles:
+        rows = r.stop - r.start
+        out = z[:, r] if z is not None else np.empty((m + 1, rows))
+        products = out[:, :, None]
+        xr = x[r]
+        first = scorer._layer(0, xr)
+        b = max(1, _TILE_FLOATS // (rows * max(widths)))
+        for s in range(0, m, b):
+            e = min(s + b, m)
+            masks = _draw_masks(gen, widths, e - s, rows, keep)
+            scorer._hidden_pass(xr, masks=masks, scale=scale, first=first, out=products[s:e])
+            del masks  # so the next block's draw does not hold two blocks' masks
+        scorer._hidden_pass(xr, first=first, out=products[m])
+        scorer._bounded(out, out=out)
+        if reduce is not None:
+            reduce(out, r)
+        del out, products, first  # before the next tile's are made
 
 
 def mc_dropout_log_lr(scorer: CalibratedScorer, x, m: int,

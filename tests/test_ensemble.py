@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -173,6 +174,26 @@ class TestFusedLogLr:
             with pytest.raises(ShapeError):
                 ens.fused_log_lr(x, gen)
         assert gen.bit_generator.state == state
+
+    def test_more_than_two_axes_is_a_shape_error(self):
+        # an input of three axes raises ShapeError naming its shape, before
+        # any draw, from the plain forward, a member's MC call and batch
+        # fusion, with dropout on or off
+        for dropout in (0.0, 0.3):
+            members = [init_scorer(NetworkConfig(input_dim=2, hidden_dims=(6, 4),
+                                                 dropout_rate=dropout, seed=s), 1.0, "squared")
+                       for s in (0, 1)]
+            ens = LikelihoodRatioEnsemble(members, EnsembleConfig(target_qps=(1.0, 1.0)))
+            gen = np.random.default_rng(0)
+            state = gen.bit_generator.state
+            for shape in ((2, 3, 2), (1, 1, 2), (0, 3, 2)):
+                x = np.ones(shape)
+                for call in (lambda: members[0].forward(x), lambda: members[0].logits(x),
+                             lambda: mlp.mc_dropout_log_lr(members[0], x, 5, gen),
+                             lambda: ens.fused_log_lr_batch(x, gen)):
+                    with pytest.raises(ShapeError, match=re.escape(str(shape))):
+                        call()
+            assert gen.bit_generator.state == state, dropout
 
     def test_empty_batch_draws_nothing(self):
         # a (0, d) batch gives a (0,) result with dropout on or off, and

@@ -55,6 +55,19 @@ def pass_masks(rng, m, n, widths, keep):
     return masks
 
 
+# Row-tile edges of an n-row batch through a net whose widest hidden layer
+# is 64: tiles of 512 rows, where a 1-row last tile takes the last 64 rows
+# of the tile before it.  A net whose widest layer is 6 (tiles of up to
+# 5,461 rows) runs every n here as one tile.
+TILES_AT_64 = {1: [0, 1], 250: [0, 250], 513: [0, 448, 513], 1025: [0, 512, 960, 1025],
+               2048: [0, 512, 1024, 1536, 2048], 2049: [0, 512, 1024, 1536, 1984, 2049],
+               4000: [0, 512, 1024, 1536, 2048, 2560, 3072, 3584, 4000]}
+
+
+def tile_edges(hidden_dims, n):
+    return TILES_AT_64[n] if max(hidden_dims) == 64 else [0, n]
+
+
 class TestForward:
     def test_all_zero_parameters(self):
         cfg = NetworkConfig(input_dim=3, hidden_dims=(4,))
@@ -417,25 +430,24 @@ class TestMcDropout:
         np.testing.assert_allclose(outs[0], scorer.forward(xs), rtol=1e-15)
 
     def test_batch_replay_oracle(self, monkeypatch):
-        # replay the batch passes with a twin generator: the lane masks of
-        # all passes, pass after pass, as float masks 2**16 / k or 0, then
-        # each pass separately over all rows; the tile-major passes (row
-        # tiles of 2**15 // widest layer rows, layer 1 once a tile, blocks
-        # of b = max(1, 2**15 // (rows * widest)) passes) must give the same
+        # replay the batch passes with a twin generator (replay_passes): tile
+        # after tile, the lane masks of all passes over the tile's rows, pass
+        # after pass, then each pass separately over all rows; the tile-major
+        # passes (layer 1 once a tile, blocks of
+        # b = max(1, 2**15 // (rows * widest)) passes) must give the same
         # bits and leave the generator where the twin is, on 1, 2 or 3 CPUs.
         # With hidden (64, 32) and m = 30, n = 1 is one block of 30 and
-        # n = 250 one tile in blocks of 2; n = 1025, 2049 and 4000 run over
-        # tiles of 512 rows, where a naive split would leave a 1-row tile:
-        # 512 + 448 + 65 | 3 x 512 + 448 + 65 | 7 x 512 + 416 rows, the
-        # same on every CPU count.  The plain output is scorer.forward's,
-        # bit for bit.
-        acts = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}
+        # n = 250 one tile in blocks of 2; n = 513, 1025, 2049 and 4000 run
+        # over the tiles of TILES_AT_64, where a naive split would leave a
+        # 1-row tile, the same on every CPU count.  The plain output is
+        # scorer.forward's, bit for bit.
         rows = np.random.default_rng(7).normal(0, 1, (4000, 2))
         cases = [((6, 4), "relu", rows[:5], 8), ((6, 4), "tanh", rows[:5], 8),
                  ((6, 5, 4), "relu", rows[:5], 8), ((6, 5, 4), "tanh", rows[:5], 8),
                  ((6, 4), "tanh", rows[1], 8),
                  ((64, 32), "relu", rows[:250], 30), ((64, 32), "tanh", rows[:250], 30),
                  ((64, 32), "relu", rows[:1], 30), ((64, 32), "tanh", rows[:1], 30),
+                 ((64, 32), "tanh", rows[:513], 30),
                  ((64, 32), "relu", rows[:1025], 30), ((64, 32), "tanh", rows[:2049], 30),
                  ((64, 32), "relu", rows[:4000], 30)]
         for hidden_dims, activation, xs, m in cases:
@@ -444,15 +456,7 @@ class TestMcDropout:
                                 activation=activation, dropout_rate=0.3)
             scorer = init_scorer(cfg, 2.0, "squared")
             rng = np.random.default_rng(321)
-            keep = 1.0 - scorer.dropout_rate
-            act = acts[activation]
-            hs = [x2] * m
-            for w, b, masks in zip(scorer.weights[:-1], scorer.biases[:-1],
-                                   pass_masks(rng, m, len(x2), hidden_dims, keep)):
-                masks = masks * (65536 / lane_keep(keep))
-                hs = [act(h @ w + b) * masks[k] for k, h in enumerate(hs)]
-            want = np.array([np.tanh(h @ scorer.weights[-1] + scorer.biases[-1])[:, 0]
-                             for h in hs])
+            want = replay_passes(scorer, x2, m, rng, tile_edges(hidden_dims, len(x2)))
             for cpus in (1, 2, 3):
                 monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
                 gen = np.random.default_rng(321)
@@ -642,15 +646,19 @@ class TestMcDropout:
         assert np.all(var >= 0.0)
 
 
-def replay_passes(scorer, x2, m, rng):
-    """Independent replay of mc_dropout_outputs: the lane masks of all m
-    passes drawn from rng pass after pass, each cut layer after layer
-    (pass_masks); then each pass alone as 2-D products, kept entries scaled
-    by 2**16 / k."""
+def replay_passes(scorer, x2, m, rng, edges=None):
+    """Independent replay of mc_dropout_outputs' tile-major stream: for the
+    row tiles between `edges` (default: one tile of all rows) in turn, the
+    lane masks of all m passes over that tile's rows, drawn from rng pass
+    after pass, each cut layer after layer (pass_masks); then each pass
+    alone over all rows as 2-D products, kept entries scaled by 2**16 / k."""
     keep = 1.0 - scorer.dropout_rate
     scale = 65536 / lane_keep(keep)
     act = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}[scorer.activation]
-    masks = pass_masks(rng, m, len(x2), [w.shape[1] for w in scorer.weights[:-1]], keep)
+    widths = [w.shape[1] for w in scorer.weights[:-1]]
+    edges = [0, len(x2)] if edges is None else edges
+    tiles = [pass_masks(rng, m, r1 - r0, widths, keep) for r0, r1 in zip(edges, edges[1:])]
+    masks = [np.concatenate(layer, axis=1) for layer in zip(*tiles)]
     out = []
     for k in range(m):
         h = x2
@@ -670,23 +678,22 @@ class TestMcThreads:
         return init_scorer(cfg, 2.0, "squared")
 
     def test_split_replay_oracle(self, monkeypatch, thread_pools):
-        # every CPU count gives the oracle's bits and leaves the generator
-        # where the oracle's is: one tile (n = 1 and 250 at (64, 32); every
-        # n at (6, 5, 4), whose tiles hold 5,440 rows) and 3, 4, 5 or 8
-        # tiles of at most 512 rows (n = 1025, 2048, 2049 and 4000 at
-        # (64, 32)), on t = min(CPUs, tiles) threads.  n = 1025 and 2049
-        # are where a naive split leaves a 1-row tile.  The plain output is
+        # every CPU count gives the tile-major replay's bits and leaves the
+        # generator where the replay's is: one tile (n = 1 and 250 at
+        # (64, 32); every n at (6, 5, 4)) and 2, 3, 4, 5 or 8 tiles of at
+        # most 512 rows (n = 513, 1025, 2048, 2049 and 4000 at (64, 32)), on
+        # t = min(CPUs, tiles) threads.  n = 513, 1025 and 2049 are where a
+        # naive split leaves a 1-row tile.  The plain output is
         # scorer.forward's, bit for bit.
         m = 30
         rows = np.random.default_rng(7).normal(0, 1, (4000, 2))
-        tile_counts = {(64, 32): {1: 1, 250: 1, 1025: 3, 2048: 4, 2049: 5, 4000: 8}}
         for hidden_dims in ((64, 32), (6, 5, 4)):
             for activation in ("relu", "tanh"):
                 scorer = self.scorer(hidden_dims, activation)
-                for n in (1, 250, 1025, 2048, 2049, 4000):
+                for n in (1, 250, 513, 1025, 2048, 2049, 4000):
+                    edges = tile_edges(hidden_dims, n)
                     want_gen = np.random.default_rng(321)
-                    want = replay_passes(scorer, rows[:n], m, want_gen)
-                    tiles = tile_counts.get(hidden_dims, {}).get(n, 1)
+                    want = replay_passes(scorer, rows[:n], m, want_gen, edges)
                     for cpus in (1, 2, 3):
                         monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
                         thread_pools.clear()
@@ -696,7 +703,7 @@ class TestMcThreads:
                         assert plain.tobytes() == scorer.forward(rows[:n]).tobytes(), case
                         assert got.tobytes() == want.tobytes(), case
                         assert gen.bit_generator.state == want_gen.bit_generator.state, case
-                        t = min(cpus, tiles)
+                        t = min(cpus, len(edges) - 1)
                         assert thread_pools == ([t] if t > 1 else []), case
 
     def test_keeps_buffered_half_and_other_bit_generators(self, monkeypatch):
@@ -726,39 +733,43 @@ class TestMcThreads:
                                         want_gen.bit_generator.state, err_msg=str(case))
 
     def test_multi_tile_replay_over_bit_generators(self, monkeypatch, thread_pools):
-        # several tiles read their rows' lanes from private copies of the
-        # generator, reset at each tile: PCG64 and PCG64DXSM skip words by
-        # advance, Philox, MT19937 and SFC64 by drawing them.  Hidden
-        # (64, 7, 3) gives 74 lanes a row, so at odd n a pass ends inside a
-        # word and the tiles' reads of layers 2 and 3 start or end inside
-        # words.  n = 513, 1025 and 2049 make 2, 3 and 5 tiles of at most
-        # 512 rows.  On 1, 2 or 3 CPUs the passes are the replay's bits,
-        # plain is scorer.forward's, and the generator, holding a buffered
-        # 32-bit half, ends where the replay's does, the half kept
-        scorer = self.scorer((64, 7, 3))
-        rows = np.random.default_rng(8).normal(0, 1, (2049, 2))
+        # on one thread every tile draws straight from the generator; on
+        # more, each thread draws from one copy moved to its first tile's
+        # word: PCG64 and PCG64DXSM by advance, Philox, MT19937 and SFC64 by
+        # drawing and discarding.  Hidden (64, 7, 3) gives 74 lanes a row,
+        # so at odd rows a pass ends inside a word, and n = 513, 1025, 2049
+        # and 4000 make 2, 3, 5 and 8 tiles of at most 512 rows; (6, 5, 4)
+        # runs every n as one tile.  On 1, 2 or 3 CPUs the passes are the
+        # tile-major replay's bits, plain is scorer.forward's, and the
+        # generator, holding a buffered 32-bit half, ends where the
+        # replay's does, the half kept
+        rows = np.random.default_rng(8).normal(0, 1, (4000, 2))
         m = 6
         makers = [lambda: np.random.default_rng(11)]
         makers += [lambda bg=bg: np.random.Generator(bg(11)) for bg in
                    (np.random.PCG64DXSM, np.random.Philox, np.random.MT19937, np.random.SFC64)]
-        for make in makers:
-            for n in (513, 1025, 2049):
-                want_gen = make()
-                want_gen.integers(0, 10, dtype=np.int32)
-                want = replay_passes(scorer, rows[:n], m, want_gen)
-                for cpus in (1, 2, 3):
-                    monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
-                    thread_pools.clear()
-                    gen = make()
-                    gen.integers(0, 10, dtype=np.int32)
-                    plain, got = mc_dropout_outputs(scorer, rows[:n], m, gen)
-                    case = (type(gen.bit_generator).__name__, n, cpus)
-                    assert thread_pools == ([min(cpus, 2)] if n == 513 and cpus > 1 else
-                                            [cpus] if cpus > 1 else []), case
-                    assert plain.tobytes() == scorer.forward(rows[:n]).tobytes(), case
-                    assert got.tobytes() == want.tobytes(), case
-                    np.testing.assert_equal(gen.bit_generator.state,
-                                            want_gen.bit_generator.state, err_msg=str(case))
+        for hidden_dims in ((64, 7, 3), (6, 5, 4)):
+            scorer = self.scorer(hidden_dims)
+            for make in makers:
+                for n in (1, 250, 513, 1025, 2049, 4000):
+                    edges = tile_edges(hidden_dims, n)
+                    want_gen = make()
+                    want_gen.integers(0, 10, dtype=np.int32)
+                    want = replay_passes(scorer, rows[:n], m, want_gen, edges)
+                    for cpus in (1, 2, 3):
+                        monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
+                        thread_pools.clear()
+                        gen = make()
+                        gen.integers(0, 10, dtype=np.int32)
+                        assert gen.bit_generator.state.get("has_uint32", 1) == 1
+                        plain, got = mc_dropout_outputs(scorer, rows[:n], m, gen)
+                        case = (hidden_dims, type(gen.bit_generator).__name__, n, cpus)
+                        t = min(cpus, len(edges) - 1)
+                        assert thread_pools == ([t] if t > 1 else []), case
+                        assert plain.tobytes() == scorer.forward(rows[:n]).tobytes(), case
+                        assert got.tobytes() == want.tobytes(), case
+                        np.testing.assert_equal(gen.bit_generator.state,
+                                                want_gen.bit_generator.state, err_msg=str(case))
 
     def test_blocks_do_not_depend_on_threads(self, monkeypatch):
         # a tile of `rows` rows runs blocks of b = max(1, 2**15 // (rows *
@@ -839,10 +850,12 @@ class TestMcThreads:
         assert tilings[2049] == [(0, 512), (512, 512), (1024, 512), (1536, 448), (1984, 65)]
 
     def test_one_generator_copy_a_thread(self, monkeypatch):
-        # a one-tile call (n = 250) draws every block straight from the
-        # generator and makes no Generator; at n = 1025 (3 tiles) one CPU
-        # makes one private copy and two CPUs two, one a thread, whatever
-        # the tile, pass and layer count, and every draw comes from them
+        # on one thread (a one-tile call, n = 250, on any CPU count; or
+        # n = 1025, 3 tiles, on one CPU) every block is drawn straight from
+        # the generator and no Generator is made: 15 blocks of 2 passes, or
+        # 30 + 30 + 5 blocks for tiles of 512, 448 and 65 rows.  At n = 1025
+        # two CPUs make two private copies, one a thread, whatever the
+        # tile, pass and layer count, and every draw comes from them
         scorer = self.scorer((64, 32))
         made, draws = [], []
 
@@ -859,7 +872,8 @@ class TestMcThreads:
 
         monkeypatch.setattr(np.random, "Generator", Counted)
         monkeypatch.setattr(mlp, "_draw_lanes", recorded_draw)
-        for n, cpus, copies in ((250, 1, 0), (250, 2, 0), (1025, 1, 1), (1025, 2, 2)):
+        for n, cpus, copies, blocks in ((250, 1, 0, 15), (250, 2, 0, 15), (1025, 1, 0, 65),
+                                        (1025, 2, 2, 65)):
             monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
             xs = np.random.default_rng(3).normal(0, 1, (n, 2))
             gen = np.random.default_rng(0)
@@ -868,10 +882,47 @@ class TestMcThreads:
             mc_dropout_outputs(scorer, xs, 30, gen)
             case = (n, cpus)
             assert len(made) == copies, case
-            if copies == 0:  # 15 blocks of 2 passes, 12,000 words each
-                assert len(draws) == 15 and all(d is gen for d in draws), case
+            assert len(draws) == blocks, case  # each block's words fit one draw call
+            if copies == 0:
+                assert all(d is gen for d in draws), case
             else:
                 assert {id(d) for d in draws} == {id(g) for g in made}, case
+
+    def test_draws_and_skips_a_member_call(self, monkeypatch):
+        # a drift_long-sized member call (n = 10 000, hidden (64, 32),
+        # m = 30: 19 tiles of 512 rows and one of 272, one pass a block)
+        # makes 600 mask draws, one a block, and no skip on one CPU; on 2
+        # or 3 CPUs at most one skip a thread, to its first tile's word.
+        # On PCG64 a skip is one advance and draws nothing; on Philox it
+        # draws and discards at most one call's words a thread
+        scorer = self.scorer((64, 32))
+        xs = np.random.default_rng(3).normal(0, 1, (10_000, 2))
+        call_words = 30 * (19 * 512 + 272) * 96 // 4
+        real_draw, real_skip = mlp._draw_lanes, mlp._skip
+        draws, skips = [], []
+
+        def recorded_draw(gen, size):
+            draws.append(size)
+            return real_draw(gen, size)
+
+        def recorded_skip(gen, words):
+            skips.append(words)
+            return real_skip(gen, words)
+
+        monkeypatch.setattr(mlp, "_draw_lanes", recorded_draw)
+        monkeypatch.setattr(mlp, "_skip", recorded_skip)
+        for bit_gen in (np.random.PCG64, np.random.Philox):
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
+                draws.clear()
+                skips.clear()
+                mc_dropout_outputs(scorer, xs, 30, np.random.Generator(bit_gen(0)))
+                case = (bit_gen.__name__, cpus, len(draws), skips)
+                assert len(skips) <= cpus - 1, case
+                assert all(0 < words <= call_words for words in skips), case
+                discards = skips if bit_gen is np.random.Philox else []  # PCG64 advances
+                assert sum(draws) == call_words + sum(discards), case
+                assert len(draws) == 600 + sum(-(-words // 2 ** 14) for words in discards), case
 
     def test_thread_error_propagates_and_leaves_generator(self, monkeypatch, thread_pools):
         scorer = self.scorer((64, 32))

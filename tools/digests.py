@@ -20,12 +20,15 @@ The commands, each through `obil.cli.main` in this process:
   call a row, made as the adapter reaches it, on that `ensemble.bin` over a
   fixed 500-row stream of the README scenario, written by
   `experiment.write_trace` to `query/trace.jsonl`;
-- a mid-size batch: the raw float64 bytes of `fused_log_lr_batch` on that
-  `ensemble.bin` over a 250-row stream of the README scenario, written to
-  `batch/fused.bin`.  At 250 rows and hidden widths (64, 32) the batch is
-  one row tile, whose MC passes run in 15 blocks of 2 on the calling thread
-  whatever the CPU count; the drift config's 10,000-row fusion runs 20 row
-  tiles on every usable CPU.
+- two batches: the raw float64 bytes of `fused_log_lr_batch` on that
+  `ensemble.bin` over a 250-row and a 1,025-row stream of the README
+  scenario, written to `batch/fused.bin` and `batch/fused_tiles.bin`.  At
+  hidden widths (64, 32) the 250-row batch is one row tile, whose MC passes
+  run in 15 blocks of 2 on the calling thread whatever the CPU count.  The
+  1,025-row batch is three row tiles of 512, 448 and 65 rows, so it runs
+  on min(usable CPUs, 3) threads, and its masks follow the tile edges; the
+  drift config's 10,000-row fusion runs 20 row tiles the same way.  Both
+  must print the same lines under `taskset -c 0` as on every CPU.
 
 `obil simulate` and `obil regret` run `obil run`'s stages for seed 0: they
 fit the ensemble, then draw, fuse and charge the seed's one stream.  So
@@ -57,6 +60,7 @@ import numpy as np
 REPO = Path(__file__).resolve().parent.parent
 QUERIES = 500
 BATCH_ROWS = 250
+TILED_BATCH_ROWS = 1025
 
 
 def load_configs(root: Path):
@@ -104,11 +108,12 @@ def write_outputs(root: Path, out: Path):
     (out / "query").mkdir()
     write_trace(out / "query" / "trace.jsonl", trace)
 
-    feats, _, _ = StreamScenario(parsed["problem"], parsed["trajectory"],
-                                 BATCH_ROWS).draw(np.random.default_rng(1))
-    fused = ensemble.fused_log_lr_batch(feats, np.random.default_rng(250))
     (out / "batch").mkdir()
-    (out / "batch" / "fused.bin").write_bytes(fused.tobytes())
+    for name, rows in (("fused.bin", BATCH_ROWS), ("fused_tiles.bin", TILED_BATCH_ROWS)):
+        feats, _, _ = StreamScenario(parsed["problem"], parsed["trajectory"],
+                                     rows).draw(np.random.default_rng(1))
+        fused = ensemble.fused_log_lr_batch(feats, np.random.default_rng(rows))
+        (out / "batch" / name).write_bytes(fused.tobytes())
 
 
 def digest_lines(out: Path):

@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
+from .bayes import EPS_CLIP
 from .data import LabeledDataset
 from .mlp import (NetworkConfig, ShapeError, TrainingConfig, load_scorer_bytes,
                   mc_dropout_log_lr, save_scorer_bytes, train)
@@ -22,6 +23,13 @@ MAGIC_ENSEMBLE = b"OBIL-ENS-v1"
 # Golden-ratio increment for deriving member seeds from the master seed.
 SEED_STRIDE = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+
+# Clamped outputs give log-LRs within a span of 2 log((2 - EPS_CLIP) / EPS_CLIP),
+# about 29.0, so a member's MC variance is at most a quarter of its square,
+# about 210.5.  Below twice that over the largest float, var / tau could
+# overflow to -inf for every member and make the fusion weights NaN.
+MIN_FUSION_TEMPERATURE = float(2.0 * np.log((2.0 - EPS_CLIP) / EPS_CLIP) ** 2
+                               / np.finfo(float).max)
 
 
 def derive_member_seed(master_seed: int, k: int) -> int:
@@ -41,8 +49,9 @@ class EnsembleConfig:
             raise ValueError("need at least one target imbalance ratio")
         if not all(np.isfinite(q) and q > 0 for q in self.target_qps):
             raise ValueError("target imbalance ratios must be finite and positive")
-        if not (np.isfinite(self.fusion_temperature) and self.fusion_temperature > 0):
-            raise ValueError("fusion temperature must be finite and positive")
+        if not MIN_FUSION_TEMPERATURE <= self.fusion_temperature < np.inf:  # NaN fails too
+            raise ValueError("fusion_temperature must be finite and at least "
+                             f"{MIN_FUSION_TEMPERATURE:.3g}, got {self.fusion_temperature!r}")
         if self.mc_samples < 2:
             raise ValueError("need at least two MC samples")
         if self.resample_method not in RESAMPLE_METHODS:

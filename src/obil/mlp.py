@@ -469,97 +469,93 @@ def _row_tiles(n: int, rows: int) -> list:
 
 
 def mc_dropout_outputs(scorer: CalibratedScorer, x, m: int,
-                       rng: np.random.Generator, reduce=None) -> tuple:
-    """The plain output and m stochastic outputs for a batch: (n,) and (m, n).
+                       rng: np.random.Generator, reduce) -> None:
+    """Hand reduce(outputs, r) each row tile's m stochastic outputs and its
+    plain output, in one (m + 1, rows) array: the passes its rows 0..m-1,
+    plain (no dropout: scorer.forward's bits) its last row.  This is the one
+    fusion path, for a query, a batch, a dropout-free net and 0 rows alike.
 
-    The work runs tile-major over the row tiles of scorer._tiles (512 rows
+    The work runs tile-major over the row tiles r of scorer._tiles (512 rows
     at width 64; a query, and any batch of up to a tile's rows, is one
     tile).  For each tile, act(x @ W1 + b1) is computed once; the m passes
     run on from it in blocks of b = max(1, _TILE_FLOATS // (rows * widest
     layer)) passes, one stacked (b, rows, h) product a layer, and then the
-    plain output (no dropout: scorer.forward's bits), into the tile's
-    (m + 1, rows) outputs (plain its row m), to which tanh is applied in
-    place.  Without `reduce` those are the rows r of one (m + 1, n) array,
-    whose last row and first m rows are returned.  With `reduce`, each
-    tile's outputs are passed to reduce(outputs, r) in an array freed
-    before the thread's next tile, and (None, None) is returned.
+    plain output, into the tile's outputs, to which tanh is applied in
+    place.  The outputs are a new array a tile, freed before the thread's
+    next tile.  Without dropout every pass would be plain, so none runs
+    (m = 0): reduce gets the plain row alone and nothing is drawn.
 
     The mask stream is tile-major, in the order of the work: tile after
     tile, each the stream of a batch of its rows (_draw_masks: pass after
     pass, each _pass_words(rows, widths) fresh 64-bit words cut layer after
-    layer), so every block is one contiguous run of words.  An entry is
-    kept with probability k / 2**16, k = _lane_keep(1 - dropout_rate), and
-    kept activations are scaled by 2**16 / k.  On one thread every block is
-    drawn straight from rng, with no generator copy.  Otherwise
-    t = min(usable_cpus(), tiles) threads (OpenBLAS first capped at one
-    thread) take contiguous ranges of tiles, each drawing from one copy of
-    rng moved once (_skip) past the words of the tiles before its first;
-    rng is then set to where the last thread's copy ended, its buffered
-    32-bit half kept.  Held at once, per thread: one tile's layer 1, block
-    masks, layer arrays, word draw (at most 128 KiB) and outputs, and what
-    reduce makes of them.
+    layer), so every block is one contiguous run of words; 0 rows take no
+    words.  An entry is kept with probability k / 2**16,
+    k = _lane_keep(1 - dropout_rate), and kept activations are scaled by
+    2**16 / k.  On one thread every block is drawn straight from rng, with
+    no generator copy.  Otherwise t = min(usable_cpus(), tiles) threads
+    (OpenBLAS first capped at one thread) take contiguous ranges of tiles,
+    each drawing from one copy of rng moved once (_skip) past the words of
+    the tiles before its first; rng is then set to where the last thread's
+    copy ended, its buffered 32-bit half kept.  Held at once, per thread:
+    one tile's layer 1, block masks, layer arrays, word draw (at most
+    128 KiB) and outputs, and what reduce makes of them.
 
     Every output bit, and rng's end state, is the same whatever the CPU
     count; the tile edges are part of the stream.  Given the masks, the
     products over the tiles are the bits of the full-row products on
     OpenBLAS 0.3.31 (Haswell kernels), by the tile rule (README, Fusion):
     tiles start at multiples of 64 rows and none is 1 row.  A query is a
-    one-row batch, bit for bit.  Without dropout or rows (n = 0) nothing is
-    drawn and reduce is not called: the passes are a read-only broadcast
-    of plain.
+    one-row batch, bit for bit.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     scorer._check_input(x)
-    n = x.shape[0]
-    if scorer.dropout_rate == 0.0 or n == 0:  # nothing to draw
-        plain = scorer._bounded(scorer.logits(x))
-        return plain, np.broadcast_to(plain, (m, n))
-    tiles = scorer._tiles(n)
-    z = np.empty((m + 1, n)) if reduce is None else None  # the m passes, then plain
+    if scorer.dropout_rate == 0.0:
+        m = 0
+    tiles = scorer._tiles(x.shape[0])
     # one tile asks for no CPU count: a system call that costs a query several microseconds
     t = 1 if len(tiles) == 1 else min(usable_cpus(), len(tiles))
     if t == 1:
-        _run_tiles(scorer, x, m, z, reduce, tiles, rng)
-    else:
-        run = partial(_run_tiles, scorer, x, m, z, reduce)
-        from concurrent.futures import ThreadPoolExecutor
-        widths = [w.shape[1] for w in scorer.weights[:-1]]
-        edges = [len(tiles) * j // t for j in range(t + 1)]
-        skips = [m * sum(_pass_words(r.stop - r.start, widths) for r in tiles[:i])
-                 for i in edges[:-1]]
-        start = rng.bit_generator.state
-        # seeded, so no OS entropy is read; each is then set to `start`
-        gens = [np.random.Generator(type(rng.bit_generator)(0)) for _ in range(t)]
-        for gen in gens:
-            gen.bit_generator.state = start
-        one_blas_thread()
-        with ThreadPoolExecutor(t) as pool:
-            list(pool.map(run, [tiles[i:j] for i, j in zip(edges, edges[1:])], gens, skips))
-        end = gens[-1].bit_generator.state  # the last tile's last draw
-        for key in ("has_uint32", "uinteger"):  # PCG64's advance drops the buffered half
-            if key in start:
-                end[key] = start[key]
-        rng.bit_generator.state = end
-    return (None, None) if z is None else (z[m], z[:m])
+        _run_tiles(scorer, x, m, reduce, tiles, rng)
+        return
+    run = partial(_run_tiles, scorer, x, m, reduce)
+    from concurrent.futures import ThreadPoolExecutor
+    widths = [w.shape[1] for w in scorer.weights[:-1]]
+    edges = [len(tiles) * j // t for j in range(t + 1)]
+    skips = [m * sum(_pass_words(r.stop - r.start, widths) for r in tiles[:i])
+             for i in edges[:-1]]
+    start = rng.bit_generator.state
+    # seeded, so no OS entropy is read; each is then set to `start`
+    gens = [np.random.Generator(type(rng.bit_generator)(0)) for _ in range(t)]
+    for gen in gens:
+        gen.bit_generator.state = start
+    one_blas_thread()
+    with ThreadPoolExecutor(t) as pool:
+        list(pool.map(run, [tiles[i:j] for i, j in zip(edges, edges[1:])], gens, skips))
+    end = gens[-1].bit_generator.state  # the last tile's last draw
+    for key in ("has_uint32", "uinteger"):  # PCG64's advance drops the buffered half
+        if key in start:
+            end[key] = start[key]
+    rng.bit_generator.state = end
 
 
-def _run_tiles(scorer, x, m, z, reduce, tiles, gen, skip=0):
-    """mc_dropout_outputs' work on `tiles`, in order, with masks drawn from
-    gen once it is moved `skip` words on.  A block stays a stacked
-    (b, rows, h) product: a 2-D (b * rows, h) one lets BLAS pick kernels
-    with other bits."""
+def _run_tiles(scorer, x, m, reduce, tiles, gen, skip=0):
+    """mc_dropout_outputs' work on `tiles`, in order: each tile's (m + 1,
+    rows) outputs, handed to reduce, with masks drawn from gen once it is
+    moved `skip` words on.  A block stays a stacked (b, rows, h) product: a
+    2-D (b * rows, h) one lets BLAS pick kernels with other bits."""
     if skip:
         _skip(gen, skip)
     widths = [w.shape[1] for w in scorer.weights[:-1]]
+    widest = max(widths or [1])  # _tiles' widest layer; a net without hidden layers has 1
     keep = 1.0 - scorer.dropout_rate
     scale = _LANE_VALUES / _lane_keep(keep)
     for r in tiles:
         rows = r.stop - r.start
-        out = z[:, r] if z is not None else np.empty((m + 1, rows))
+        out = np.empty((m + 1, rows))
         products = out[:, :, None]
         xr = x[r]
         first = scorer._layer(0, xr)
-        b = max(1, _TILE_FLOATS // (rows * max(widths)))
+        b = max(1, _TILE_FLOATS // (rows * widest or 1))  # 0 rows: one block that draws nothing
         for s in range(0, m, b):
             e = min(s + b, m)
             masks = _draw_masks(gen, widths, e - s, rows, keep)
@@ -567,21 +563,20 @@ def _run_tiles(scorer, x, m, z, reduce, tiles, gen, skip=0):
             del masks  # so the next block's draw does not hold two blocks' masks
         scorer._hidden_pass(xr, first=first, out=products[m])
         scorer._bounded(out, out=out)
-        if reduce is not None:
-            reduce(out, r)
+        reduce(out, r)
         del out, products, first  # before the next tile's are made
 
 
 def mc_dropout_log_lr(scorer: CalibratedScorer, x, m: int,
                       rng: np.random.Generator, out=None) -> np.ndarray:
     """A batch's log-LR (scorer.log_lr's bits) and the 1/m-normalized
-    variance of its m MC passes' log-LRs (exactly 0 without dropout), the
-    two rows of one (2, n) array: `out`, or a new one.  They come from one
-    mc_dropout_outputs call.  With dropout, each row tile's passes and
-    plain, (m + 1, rows), become log-LRs in place (with one more such
-    array), in the operations and order of scorer.log_lr, and then the
-    tile's columns of the result, so the call holds one tile's outputs a
-    thread, not (m + 1, n) arrays.
+    variance of its m MC passes' log-LRs, the two rows of one (2, n) array:
+    `out`, or a new one.  They come from one mc_dropout_outputs call: each
+    row tile's outputs become log-LRs in place (with one more such array),
+    in the operations and order of scorer.log_lr, and then the tile's
+    columns of the result, so the call holds one tile's outputs a thread,
+    not (m + 1, n) arrays.  Without dropout a tile has no passes, and the
+    variance is 0 / m, exactly 0.
     """
     if m < 2:
         raise ValueError("need at least two passes")
@@ -591,16 +586,13 @@ def mc_dropout_log_lr(scorer: CalibratedScorer, x, m: int,
 
     def reduce(z, r):
         log_lr_from_output(clamp_output(z, out=z), scorer.training_qp, out=z)
-        passes = z[:m]
+        passes = z[:-1]
         passes -= np.add.reduce(passes, axis=0) / m
         passes *= passes
-        out[0, r] = z[m]
+        out[0, r] = z[-1]
         out[1, r] = np.add.reduce(passes, axis=0) / m
 
-    plain, _ = mc_dropout_outputs(scorer, x, m, rng, reduce)
-    if plain is not None:  # no dropout or rows: nothing drawn, every pass is plain
-        out[0] = log_lr_from_output(clamp_output(plain), scorer.training_qp)
-        out[1] = 0.0
+    mc_dropout_outputs(scorer, x, m, rng, reduce)
     return out
 
 
@@ -610,28 +602,6 @@ def mc_dropout_log_lr_variance(scorer: CalibratedScorer, x, m: int,
     it is kept because perfbench/tracing.py looks it up by name.
     """
     return float(mc_dropout_log_lr(scorer, x, m, rng)[1][0])
-
-
-def gradient_check(scorer: CalibratedScorer, x, labels, loss_name: str,
-                   loss_weight: float = 1.0, step: float = 1e-5) -> float:
-    """Max relative gap between backprop and central-difference gradients."""
-    loss = get_loss(loss_name)
-    _, grads = loss_and_gradients(scorer, x, labels, loss, loss_weight)
-    worst = 0.0
-    for p, g in zip(scorer.parameters(), grads):
-        flat = p.ravel()
-        gflat = g.ravel()
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            lo_plus, _ = loss_and_gradients(scorer, x, labels, loss, loss_weight)
-            flat[j] = orig - step
-            lo_minus, _ = loss_and_gradients(scorer, x, labels, loss, loss_weight)
-            flat[j] = orig
-            fd = (lo_plus - lo_minus) / (2.0 * step)
-            denom = max(abs(gflat[j]), abs(fd), 1e-8)
-            worst = max(worst, abs(gflat[j] - fd) / denom)
-    return worst
 
 
 def save_scorer_bytes(scorer: CalibratedScorer) -> bytes:

@@ -21,10 +21,11 @@ from obil.ensemble import EnsembleConfig, train_ensemble
 from obil.experiment import fit_scorer_temperature, scorer_posteriors
 from obil.losses import REGISTRY, get_loss
 from obil.metrics import ConfusionCounts, ece_from_posteriors, f1
-from obil.mlp import NetworkConfig, TrainingConfig, gradient_check, init_scorer, train
+from obil.mlp import NetworkConfig, TrainingConfig, init_scorer, train
 from obil.resampling import AssociatedProblemSpec, make_associated, smote_generate
 from obil.simulate import (GaussianProblem, PriorTrajectory, StreamScenario,
                            oracle_threshold, run_regret_experiment)
+from support import gradient_check
 
 
 def report(num: int, ok: bool, detail: str) -> bool:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -137,19 +139,34 @@ class TestLrFromOutput:
                 np.log(lr_from_output(grid, qp)), rtol=1e-12)
 
     def test_in_place_form_has_the_same_bits(self):
-        # with out (o itself or another array) the log-LR has the bits of
-        # the allocating expression, and is written into out
+        # the log-LR has the bits of log(qp) + log1p(o) - log1p(-o), computed
+        # here step by step: into a new array, into out (another array or o
+        # itself, which is then returned), and as a float for a 0-d array, a
+        # numpy scalar or a Python float
         rng = np.random.default_rng(5)
-        for shape in ((1,), (30, 1), (7, 250)):
+        for shape in ((), (1,), (30, 1), (7, 250)):
             o = clamp_output(np.tanh(rng.normal(0, 3, shape)))
             for qp in (0.25, 1.0, 7.0):
-                want = log_lr_from_output(o, qp)
+                case = (shape, qp)
+                want = np.float64(math.log(qp)) + np.log1p(o) - np.log1p(-o)
+                kept = o.copy()
+                got = log_lr_from_output(o, qp)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), case
+                assert o.tobytes() == kept.tobytes(), case
+                if not shape:
+                    for scalar in (np.array(o), np.float64(o), float(o)):
+                        got = log_lr_from_output(scalar, qp)
+                        assert type(got) is float, case
+                        assert np.float64(got).tobytes() == want.tobytes(), case
+                    continue
+                assert got is not o and got.shape == shape, case
                 other = np.empty(shape)
                 assert log_lr_from_output(o, qp, out=other) is other
-                assert other.tobytes() == want.tobytes(), (shape, qp)
+                assert other.tobytes() == want.tobytes(), case
+                assert o.tobytes() == kept.tobytes(), case
                 same = o.copy()
                 assert log_lr_from_output(same, qp, out=same) is same
-                assert same.tobytes() == want.tobytes(), (shape, qp)
+                assert same.tobytes() == want.tobytes(), case
 
 
 def analytic_posterior(q_l, qp_tilde):

@@ -208,6 +208,8 @@ class TestCliExitCodes:
         ("run", "data", "sigma2", float("nan")),
         ("run", "data", "sigma2", float("inf")),
         ("run", "ensemble", "fusion_temperature", float("nan")),
+        # so small that var / tau could overflow for every member
+        ("run", "ensemble", "fusion_temperature", 5e-324),
         ("run", "ensemble", "target_qps", [1.0, -1.0]),
         ("run", "ensemble", "target_qps", [float("nan")]),
         ("run", "adapter", "qc", float("nan")),

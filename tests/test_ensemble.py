@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from obil import mlp
+from obil.bayes import EPS_CLIP
 from obil.data import LabeledDataset
-from obil.ensemble import (EnsembleConfig, LikelihoodRatioEnsemble,
-                           derive_member_seed, load_ensemble_bytes,
-                           save_ensemble_bytes, train_ensemble)
+from obil.ensemble import (MIN_FUSION_TEMPERATURE, EnsembleConfig,
+                           LikelihoodRatioEnsemble, derive_member_seed,
+                           load_ensemble_bytes, save_ensemble_bytes,
+                           train_ensemble)
 from obil.mlp import (CalibratedScorer, NetworkConfig, ShapeError,
                       TrainingConfig, init_scorer, train)
+from support import collect_outputs
 
 
 def constant_scorer(output, training_qp=1.0, dropout=0.0):
@@ -223,8 +226,7 @@ class TestFusedLogLr:
                        for s, qp in ((0, 1.0), (1, 3.0))]
             ens = LikelihoodRatioEnsemble(members, EnsembleConfig(target_qps=(1.0, 3.0)))
             moved = [np.any(passes != plain) for plain, passes in
-                     (mlp.mc_dropout_outputs(m, xs, 30, np.random.default_rng(2))
-                      for m in members)]
+                     (collect_outputs(m, xs, 30, np.random.default_rng(2)) for m in members)]
             assert any(moved) == (dropout != 1e-6), (dropout, moved)
             assert np.all(np.isfinite(ens.fused_log_lr_batch(xs, np.random.default_rng(2))))
             assert np.isfinite(ens.fused_log_lr(xs[0], np.random.default_rng(2))), dropout
@@ -339,6 +341,28 @@ class TestEnsembleConfig:
             EnsembleConfig(target_qps=(1.0,), fusion_temperature=0.0)
         with pytest.raises(ValueError):
             EnsembleConfig(target_qps=(1.0,), mc_samples=1)
+
+    def test_fusion_temperature_floor(self, monkeypatch):
+        # clamped log-LRs span 2 log((2 - EPS_CLIP) / EPS_CLIP), so a
+        # member's variance is at most a quarter of its square: at the
+        # floor, two members at that variance still get finite, equal
+        # weights.  Below it var / tau could overflow to -inf for every
+        # member and give NaN weights, so such a temperature is refused,
+        # naming the key
+        span = 2.0 * np.log((2.0 - EPS_CLIP) / EPS_CLIP)
+        assert 29.0 < span < 29.1
+        assert 1e-306 < MIN_FUSION_TEMPERATURE < 1e-305
+        most = span ** 2 / 4.0
+        with np.errstate(over="ignore"):
+            assert most / -(MIN_FUSION_TEMPERATURE / 4.0) == -np.inf
+        patch_variances(monkeypatch, np.array([[most], [most]]))
+        ens = LikelihoodRatioEnsemble([constant_scorer(0.0), constant_scorer(0.0)], EnsembleConfig(
+            target_qps=(1.0, 1.0), fusion_temperature=MIN_FUSION_TEMPERATURE))
+        assert ens.fusion_weights(np.array([0.0]), np.random.default_rng(0)).tolist() == \
+            [[0.5], [0.5]]
+        for tau in (5e-324, 1e-310, np.nextafter(MIN_FUSION_TEMPERATURE, 0.0)):
+            with pytest.raises(ValueError, match="fusion_temperature must be"):
+                EnsembleConfig(target_qps=(1.0,), fusion_temperature=tau)
 
     def test_k_property(self):
         assert EnsembleConfig(target_qps=(1, 2, 5)).k == 3

@@ -10,11 +10,11 @@ from obil.bayes import clamp_output, log_lr_from_output
 from obil.data import DegenerateData, LabeledDataset, stratified_split
 from obil.losses import get_loss
 from obil.mlp import (CalibratedScorer, NetworkConfig, ShapeError,
-                      TrainingConfig, gradient_check, init_scorer,
+                      TrainingConfig, init_scorer,
                       load_scorer_bytes, loss_and_gradients,
                       mc_dropout_log_lr, mc_dropout_log_lr_variance,
-                      mc_dropout_outputs,
                       save_scorer_bytes, train)
+from support import collect_outputs, gradient_check
 
 
 def single_layer_scorer(weight, bias=0.0, training_qp=1.0, dropout=0.0):
@@ -59,8 +59,9 @@ def pass_masks(rng, m, n, widths, keep):
 # is 64: tiles of 512 rows, where a 1-row last tile takes the last 64 rows
 # of the tile before it.  A net whose widest layer is 6 (tiles of up to
 # 5,461 rows) runs every n here as one tile.
-TILES_AT_64 = {1: [0, 1], 250: [0, 250], 513: [0, 448, 513], 1025: [0, 512, 960, 1025],
-               2048: [0, 512, 1024, 1536, 2048], 2049: [0, 512, 1024, 1536, 1984, 2049],
+TILES_AT_64 = {0: [0, 0], 1: [0, 1], 250: [0, 250], 513: [0, 448, 513],
+               1025: [0, 512, 960, 1025], 2048: [0, 512, 1024, 1536, 2048],
+               2049: [0, 512, 1024, 1536, 1984, 2049],
                4000: [0, 512, 1024, 1536, 2048, 2560, 3072, 3584, 4000]}
 
 
@@ -80,7 +81,8 @@ class TestForward:
         assert scorer.forward(np.array([0.5])) == pytest.approx(np.tanh(0.5))
 
     def test_zero_dropout_is_noop(self):
-        # without dropout every MC pass is the deterministic forward, bit for
+        # without dropout every MC pass would be the deterministic forward,
+        # so none runs: the reducer gets the plain output alone, bit for
         # bit, and no random number is drawn
         cfg = NetworkConfig(input_dim=2, hidden_dims=(8, 4), seed=3)
         scorer = init_scorer(cfg, 1.0, "squared")
@@ -88,10 +90,10 @@ class TestForward:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         for x in (xs, xs[0]):
-            plain, outs = mc_dropout_outputs(scorer, x, 4, rng)
+            plain, outs = collect_outputs(scorer, x, 4, rng)
             want = np.atleast_1d(scorer.forward(x))
             assert plain.tobytes() == want.tobytes()
-            assert outs.tobytes() == np.broadcast_to(want, (4, want.size)).tobytes()
+            assert outs.shape == (0, want.size)
         assert rng.bit_generator.state == state
 
     def test_shape_error(self):
@@ -425,9 +427,14 @@ class TestMcDropout:
         cfg = NetworkConfig(input_dim=2, hidden_dims=(4,), seed=1)
         scorer = init_scorer(cfg, 1.0, "squared")
         xs = np.random.default_rng(5).normal(0, 1, (7, 2))
-        _, outs = mc_dropout_outputs(scorer, xs, 3, np.random.default_rng(0))
-        assert outs.shape == (3, 7)
-        np.testing.assert_allclose(outs[0], scorer.forward(xs), rtol=1e-15)
+        gen = np.random.default_rng(0)
+        state = gen.bit_generator.state
+        first = collect_outputs(scorer, xs, 3, gen)
+        again = collect_outputs(scorer, xs, 3, gen)
+        for plain, outs in (first, again):
+            assert outs.shape == (0, 7)
+            assert plain.tobytes() == scorer.forward(xs).tobytes()
+        assert gen.bit_generator.state == state
 
     def test_batch_replay_oracle(self, monkeypatch):
         # replay the batch passes with a twin generator (replay_passes): tile
@@ -460,7 +467,7 @@ class TestMcDropout:
             for cpus in (1, 2, 3):
                 monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
                 gen = np.random.default_rng(321)
-                plain, got = mc_dropout_outputs(scorer, xs, m, gen)
+                plain, got = collect_outputs(scorer, xs, m, gen)
                 case = (hidden_dims, activation, x2.shape, m, cpus)
                 assert plain.tobytes() == scorer.forward(x2).tobytes(), case
                 assert got.shape == (m, len(x2)), case
@@ -477,7 +484,7 @@ class TestMcDropout:
         state = gen.bit_generator.state
         for xs in (np.ones(3), np.ones((4, 3)), np.ones((4, 1))):
             with pytest.raises(ShapeError):
-                mc_dropout_outputs(scorer, xs, 5, gen)
+                collect_outputs(scorer, xs, 5, gen)
         assert gen.bit_generator.state == state
 
     def test_batch_memory_below_one_float_block(self, monkeypatch):
@@ -512,19 +519,73 @@ class TestMcDropout:
                 assert peak < bound, (cpus, n, m, peak, bound)
 
     def test_empty_batch_draws_nothing(self):
-        # a (0, d) batch gives (0,) plain and (m, 0) outputs and (0,)
-        # log-LRs and variances with dropout on or off, and leaves the
-        # generator where it was
+        # a (0, d) batch gives (0,) plain and (m, 0) outputs with dropout,
+        # (0, 0) without, and (0,) log-LRs and variances either way, and
+        # leaves the generator where it was
         for dropout in (0.0, 0.2):
             cfg = NetworkConfig(input_dim=2, hidden_dims=(6, 4), dropout_rate=dropout)
             scorer = init_scorer(cfg, 1.0, "squared")
             gen = np.random.default_rng(0)
             state = gen.bit_generator.state
-            plain, outs = mc_dropout_outputs(scorer, np.ones((0, 2)), 5, gen)
-            assert (plain.shape, outs.shape) == ((0,), (5, 0)), dropout
+            plain, outs = collect_outputs(scorer, np.ones((0, 2)), 5, gen)
+            assert (plain.shape, outs.shape) == ((0,), (5 if dropout else 0, 0)), dropout
             log_lr, var = mc_dropout_log_lr(scorer, np.ones((0, 2)), 5, gen)
             assert (log_lr.shape, var.shape) == ((0,), (0,)), dropout
             assert gen.bit_generator.state == state, dropout
+
+    def test_dropout_free_and_empty_calls_run_the_tile_loop(self, monkeypatch, thread_pools):
+        # a dropout-free call runs the one tile loop with no passes: reduce
+        # gets one (1, rows) array a row tile, holding scorer.forward's bits,
+        # and nothing is drawn on any CPU count (a multi-tile batch takes
+        # the thread split, its generator copies left as they were).
+        # mc_dropout_log_lr then gives scorer.log_lr's bits and variances of
+        # exactly 0.  A 0-row call with dropout hands reduce one (m + 1, 0)
+        # tile and draws nothing either
+        real = mlp._draw_lanes
+        draws = []
+
+        def counted(gen, size):
+            draws.append(size)
+            return real(gen, size)
+
+        monkeypatch.setattr(mlp, "_draw_lanes", counted)
+        rows = np.random.default_rng(5).normal(0, 1, (2049, 2))
+        for loss_tag, hidden_dims, activation in itertools.product(
+                ("squared", "xent_sigmoid"), ((64, 32), (64, 7, 3), (6,)), ("relu", "tanh")):
+            scorer = init_scorer(NetworkConfig(input_dim=2, hidden_dims=hidden_dims, seed=4,
+                                               activation=activation), 3.0, loss_tag)
+            scorer.temperature = 1.3
+            for n in (0, 1, 250, 1025, 2049):
+                edges = tile_edges(hidden_dims, n)
+                for cpus in (1, 2, 3):
+                    case = (loss_tag, hidden_dims, activation, n, cpus)
+                    monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
+                    draws.clear()
+                    thread_pools.clear()
+                    gen = np.random.default_rng(9)
+                    state = gen.bit_generator.state
+                    tiles = []
+                    mlp.mc_dropout_outputs(scorer, rows[:n], 30, gen,
+                                           lambda z, r: tiles.append((r.start, r.stop, z.copy())))
+                    tiles.sort(key=lambda tile: tile[0])
+                    assert [tile[:2] for tile in tiles] == list(zip(edges, edges[1:])), case
+                    assert all(z.shape == (1, r1 - r0) for r0, r1, z in tiles), case
+                    plain = np.concatenate([z[0] for _, _, z in tiles])
+                    assert plain.tobytes() == scorer.forward(rows[:n]).tobytes(), case
+                    log_lr, var = mc_dropout_log_lr(scorer, rows[:n], 30, gen)
+                    assert log_lr.tobytes() == scorer.log_lr(rows[:n]).tobytes(), case
+                    assert var.tobytes() == np.zeros(n).tobytes(), case
+                    assert draws == [] and gen.bit_generator.state == state, case
+                    t = min(cpus, len(edges) - 1)
+                    assert thread_pools == ([t, t] if t > 1 else []), case
+        scorer = init_scorer(NetworkConfig(input_dim=2, hidden_dims=(64, 32),
+                                           dropout_rate=0.3), 1.0, "squared")
+        gen = np.random.default_rng(9)
+        state = gen.bit_generator.state
+        tiles = []
+        mlp.mc_dropout_outputs(scorer, rows[:0], 30, gen, lambda z, r: tiles.append((r, z.shape)))
+        assert tiles == [(slice(0, 0), (31, 0))]
+        assert draws == [] and gen.bit_generator.state == state
 
     def test_zero_or_one_pass(self, monkeypatch):
         # m = 0 gives (n,) plain and (0, n) outputs and draws nothing; m = 1
@@ -536,12 +597,12 @@ class TestMcDropout:
             monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
             gen = np.random.default_rng(0)
             state = gen.bit_generator.state
-            plain, outs = mc_dropout_outputs(scorer, xs, 0, gen)
+            plain, outs = collect_outputs(scorer, xs, 0, gen)
             assert (plain.shape, outs.shape) == ((250,), (0, 250)), cpus
             assert plain.tobytes() == scorer.forward(xs).tobytes(), cpus
             assert gen.bit_generator.state == state, cpus
             want_gen = np.random.default_rng(0)
-            _, got = mc_dropout_outputs(scorer, xs, 1, gen)
+            _, got = collect_outputs(scorer, xs, 1, gen)
             assert got.tobytes() == replay_passes(scorer, xs, 1, want_gen).tobytes(), cpus
             assert gen.bit_generator.state == want_gen.bit_generator.state, cpus
 
@@ -561,7 +622,7 @@ class TestMcDropout:
         scorer = init_scorer(cfg, 1.0, "squared")
         x = np.array([[0.4, -1.2]])
         gen = np.random.default_rng(5)
-        _, got = mc_dropout_outputs(scorer, x, 30, gen)
+        _, got = collect_outputs(scorer, x, 30, gen)
         assert draws == [(gen, 30 * 24)]
         want_gen = np.random.default_rng(5)
         assert got.tobytes() == replay_passes(scorer, x, 30, want_gen).tobytes()
@@ -698,7 +759,7 @@ class TestMcThreads:
                         monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
                         thread_pools.clear()
                         gen = np.random.default_rng(321)
-                        plain, got = mc_dropout_outputs(scorer, rows[:n], m, gen)
+                        plain, got = collect_outputs(scorer, rows[:n], m, gen)
                         case = (hidden_dims, activation, n, cpus)
                         assert plain.tobytes() == scorer.forward(rows[:n]).tobytes(), case
                         assert got.tobytes() == want.tobytes(), case
@@ -725,7 +786,7 @@ class TestMcThreads:
                 state = gen.bit_generator.state
                 assert state.get("has_uint32", 1) == 1
                 want = replay_passes(scorer, xs, m, want_gen)
-                _, got = mc_dropout_outputs(scorer, xs, m, gen)
+                _, got = collect_outputs(scorer, xs, m, gen)
                 case = (state["bit_generator"], cpus)
                 assert got.tobytes() == want.tobytes(), case
                 # Philox and MT19937 states hold arrays
@@ -762,7 +823,7 @@ class TestMcThreads:
                         gen = make()
                         gen.integers(0, 10, dtype=np.int32)
                         assert gen.bit_generator.state.get("has_uint32", 1) == 1
-                        plain, got = mc_dropout_outputs(scorer, rows[:n], m, gen)
+                        plain, got = collect_outputs(scorer, rows[:n], m, gen)
                         case = (hidden_dims, type(gen.bit_generator).__name__, n, cpus)
                         t = min(cpus, len(edges) - 1)
                         assert thread_pools == ([t] if t > 1 else []), case
@@ -795,7 +856,7 @@ class TestMcThreads:
             for cpus in (1, 2, 3):
                 monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
                 blocks.clear()
-                mc_dropout_outputs(scorer, xs, 30, np.random.default_rng(0))
+                collect_outputs(scorer, xs, 30, np.random.default_rng(0))
                 assert sorted(blocks) == sorted(sizes), (n, cpus)
 
     def test_tiles_hold_one_block_a_layer(self, monkeypatch):
@@ -825,7 +886,7 @@ class TestMcThreads:
             for n in (1, 250, 1025, 2049, 4000, 10_000, 20_000):
                 xs = np.random.default_rng(3).normal(0, 1, (n, 2))
                 calls.clear()
-                mc_dropout_outputs(scorer, xs, m, np.random.default_rng(0))
+                collect_outputs(scorer, xs, m, np.random.default_rng(0))
                 masked = [c for c in calls if c[1] > 0]
                 tiles = sorted({(start, rows) for _, _, start, rows in calls})
                 case = (cpus, n)
@@ -879,7 +940,7 @@ class TestMcThreads:
             gen = np.random.default_rng(0)
             made.clear()
             draws.clear()
-            mc_dropout_outputs(scorer, xs, 30, gen)
+            collect_outputs(scorer, xs, 30, gen)
             case = (n, cpus)
             assert len(made) == copies, case
             assert len(draws) == blocks, case  # each block's words fit one draw call
@@ -916,7 +977,7 @@ class TestMcThreads:
                 monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
                 draws.clear()
                 skips.clear()
-                mc_dropout_outputs(scorer, xs, 30, np.random.Generator(bit_gen(0)))
+                collect_outputs(scorer, xs, 30, np.random.Generator(bit_gen(0)))
                 case = (bit_gen.__name__, cpus, len(draws), skips)
                 assert len(skips) <= cpus - 1, case
                 assert all(0 < words <= call_words for words in skips), case
@@ -935,7 +996,7 @@ class TestMcThreads:
         gen = np.random.default_rng(0)
         state = gen.bit_generator.state
         with pytest.raises(RuntimeError, match="pass failed"):
-            mc_dropout_outputs(scorer, np.ones((2048, 2)), 30, gen)
+            collect_outputs(scorer, np.ones((2048, 2)), 30, gen)
         assert thread_pools == [2]
         assert gen.bit_generator.state == state
 

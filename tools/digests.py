@@ -20,15 +20,18 @@ The commands, each through `obil.cli.main` in this process:
   call a row, made as the adapter reaches it, on that `ensemble.bin` over a
   fixed 500-row stream of the README scenario, written by
   `experiment.write_trace` to `query/trace.jsonl`;
-- two batches: the raw float64 bytes of `fused_log_lr_batch` on that
+- three batches: the raw float64 bytes of `fused_log_lr_batch` on that
   `ensemble.bin` over a 250-row and a 1,025-row stream of the README
-  scenario, written to `batch/fused.bin` and `batch/fused_tiles.bin`.  At
-  hidden widths (64, 32) the 250-row batch is one row tile, whose MC passes
-  run in 15 blocks of 2 on the calling thread whatever the CPU count.  The
-  1,025-row batch is three row tiles of 512, 448 and 65 rows, so it runs
-  on min(usable CPUs, 3) threads, and its masks follow the tile edges; the
-  drift config's 10,000-row fusion runs 20 row tiles the same way.  Both
-  must print the same lines under `taskset -c 0` as on every CPU.
+  scenario, written to `batch/fused.bin` and `batch/fused_tiles.bin`, and
+  over the same 1,025 rows with every member's `dropout_rate` set to 0,
+  written to `batch/fused_plain.bin`.  At hidden widths (64, 32) the
+  250-row batch is one row tile, whose MC passes run in 15 blocks of 2 on
+  the calling thread whatever the CPU count.  The 1,025-row batch is three
+  row tiles of 512, 448 and 65 rows, so it runs on min(usable CPUs, 3)
+  threads, and its masks follow the tile edges; the drift config's
+  10,000-row fusion runs 20 row tiles the same way.  The dropout-free batch
+  runs the same tiles with no MC passes and draws nothing.  All must print
+  the same lines under `taskset -c 0` as on every CPU.
 
 `obil simulate` and `obil regret` run `obil run`'s stages for seed 0: they
 fit the ensemble, then draw, fuse and charge the seed's one stream.  So
@@ -108,11 +111,17 @@ def write_outputs(root: Path, out: Path):
     (out / "query").mkdir()
     write_trace(out / "query" / "trace.jsonl", trace)
 
+    # the same members without dropout: every fusion pass is the plain output
+    plain = load_ensemble(out / "train" / "ensemble.bin")
+    for member in plain.members:
+        member.dropout_rate = 0.0
     (out / "batch").mkdir()
-    for name, rows in (("fused.bin", BATCH_ROWS), ("fused_tiles.bin", TILED_BATCH_ROWS)):
+    for name, ens, rows in (("fused.bin", ensemble, BATCH_ROWS),
+                            ("fused_tiles.bin", ensemble, TILED_BATCH_ROWS),
+                            ("fused_plain.bin", plain, TILED_BATCH_ROWS)):
         feats, _, _ = StreamScenario(parsed["problem"], parsed["trajectory"],
                                      rows).draw(np.random.default_rng(1))
-        fused = ensemble.fused_log_lr_batch(feats, np.random.default_rng(rows))
+        fused = ens.fused_log_lr_batch(feats, np.random.default_rng(rows))
         (out / "batch" / name).write_bytes(fused.tobytes())
 
 

@@ -111,7 +111,7 @@ def write_outputs(root: Path, out: Path):
     (out / "query").mkdir()
     write_trace(out / "query" / "trace.jsonl", trace)
 
-    # the same members without dropout: every fusion pass is the plain output
+    # the same members without dropout: their fusion runs no MC pass
     plain = load_ensemble(out / "train" / "ensemble.bin")
     for member in plain.members:
         member.dropout_rate = 0.0
